@@ -8,9 +8,9 @@ back-end — the quantity an adopter budgeting many small launches needs.
 Since the Task→Plan→Execute refactor the cost splits in two: a **cold**
 launch builds a `LaunchPlan` (work-div validation, device properties,
 runner selection) while a **warm** launch serves it from the LRU plan
-cache.  Both are reported, together with the cache hit rate the
-`CountingObserver` instrumentation sees — the acceptance check that
-repeated launches really do bypass planning.
+cache.  Both are reported, together with the cache hit rate a
+`telemetry.collect()` block sees — the acceptance check that repeated
+launches really do bypass planning.
 """
 
 import pytest
@@ -24,9 +24,9 @@ from repro import (
     create_task_kernel,
     fn_acc,
     get_dev_by_idx,
+    telemetry,
 )
 from repro.bench import (
-    launch_stats,
     measure_wall,
     write_bench_json,
     write_report,
@@ -76,10 +76,10 @@ def _hit_rate(acc_name):
     """Observed plan-cache hit rate over a fresh repeated-launch run."""
     queue, task = _setup(acc_name)
     clear_plan_cache()
-    with launch_stats() as stats:
+    with telemetry.collect() as t:
         for _ in range(LAUNCHES):
             queue.enqueue(task)
-    return stats.plan_cache_hit_rate
+    return t.plan_cache_hit_rate
 
 
 def test_launch_overhead(benchmark):
@@ -151,13 +151,13 @@ def test_compiled_replay_launch_overhead():
     magnitude above it)."""
     import os
 
-    from repro.compile import compile_stats, reset_compile_stats
+    from repro.compile import compile_stats
     from repro.runtime.scheduler import SCHEDULER_ENV
 
     prev = os.environ.get(SCHEDULER_ENV)
     os.environ[SCHEDULER_ENV] = "compiled"
     clear_plan_cache()
-    reset_compile_stats()
+    before = compile_stats()
     try:
         import numpy as np
 
@@ -181,7 +181,13 @@ def test_compiled_replay_launch_overhead():
                 queue.enqueue(task)
 
         warm = measure_wall(launch, repeat=3) / LAUNCHES
-        stats = compile_stats()
+        after = compile_stats()
+        stats = {k: after[k] - before[k] for k in ("traces", "retraces")}
+        stats["fallbacks"] = {
+            r: n - before["fallbacks"].get(r, 0)
+            for r, n in after["fallbacks"].items()
+            if n > before["fallbacks"].get(r, 0)
+        }
         x.free()
         y.free()
     finally:

@@ -234,7 +234,7 @@ def test_compiled_vectorization_gate():
     interpreted sequential, bit-identically, and warm replays never
     re-trace.  ``REPRO_REQUIRE_COMPILED_SPEEDUP`` overrides the factor
     (CI sets it explicitly so the gate cannot silently relax)."""
-    from repro.compile import compile_stats, reset_compile_stats
+    from repro.compile import compile_stats
 
     n = AXPY_N
     blocks = COMPILED_BLOCKS
@@ -272,9 +272,18 @@ def test_compiled_vectorization_gate():
         return seconds, result
 
     seq_s, seq_result = run("sequential")
-    reset_compile_stats()
+    before = compile_stats()
     comp_s, comp_result = run("compiled")
-    stats = compile_stats()
+    after = compile_stats()
+    stats = {
+        k: after[k] - before[k]
+        for k in ("traces", "retraces", "compiled_launches")
+    }
+    stats["fallbacks"] = {
+        r: n - before["fallbacks"].get(r, 0)
+        for r, n in after["fallbacks"].items()
+        if n > before["fallbacks"].get(r, 0)
+    }
 
     # Identity: the vectorised replay is the same numpy ops in the same
     # order, so bytes must match — not merely be close.

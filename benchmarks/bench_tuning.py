@@ -14,8 +14,9 @@ and reports both throughputs.  Because the candidate space always seeds
 the default division, tuned can only tie or beat default — the bench
 asserts exactly that, plus the persistence contract: a second
 ``autotune`` against the warm cache answers from disk with **zero**
-kernel launches, observed through the runtime's ``CountingObserver``
-(the same instrumentation the launch-overhead bench uses).
+kernel launches, observed through a ``telemetry.collect()`` block's
+``repro_launches_total`` (the same instrumentation the launch-overhead
+bench uses).
 
 Sizes are deliberately tiny: the GPU back-end executes blocks with one
 host thread per modeled thread, so the bench caps generated candidates
@@ -35,8 +36,9 @@ from repro import (
     divide_work,
     get_dev_by_idx,
     mem,
+    telemetry,
 )
-from repro.bench import launch_stats, write_bench_json, write_report
+from repro.bench import write_bench_json, write_report
 from repro.comparison import render_table
 from repro.kernels.gemm import GemmTilingKernel, dgemm_reference
 from repro.kernels.stencil import Jacobi2DKernel, jacobi_reference_step
@@ -196,10 +198,11 @@ def test_tuned_vs_default(benchmark, tmp_path):
             dev = get_dev_by_idx(acc, 0)
             kernel = kernel_cls()
             extent, args, work, check = setup(acc, dev)
-            with launch_stats() as stats:
+            with telemetry.collect() as t:
                 warm = autotune(
                     kernel, acc, extent, args, device=dev, cache=reloaded
                 )
             assert warm.from_cache, (wl_name, acc_name)
             assert warm.launches == 0, (wl_name, acc_name)
-            assert stats.launches == 0, (wl_name, acc_name, stats.launches)
+            launches = t.total("repro_launches_total")
+            assert launches == 0, (wl_name, acc_name, launches)

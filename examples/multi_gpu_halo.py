@@ -10,7 +10,7 @@ time loop is recorded into one :class:`repro.graph.Graph`:
 2. edge columns are exchanged through sub-view copies whose
    dependencies on the sweeps (and the next step's dependency on the
    arriving halo) are *inferred* from the buffers they touch — the
-   hand-written ``Event``/``wait_queue_for`` choreography of the
+   hand-written ``Event``/``enqueue_after`` choreography of the
    pre-graph version of this example is gone;
 3. the two halo copies touch disjoint columns, so region-precise
    inference lets them fly concurrently too.

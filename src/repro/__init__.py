@@ -86,7 +86,6 @@ from .queue import (
     wait,
 )
 from .runtime import (
-    CountingObserver,
     ExecutionObserver,
     LaunchPlan,
     clear_plan_cache,
@@ -139,7 +138,7 @@ __all__ = [
     "Graph", "Node", "GraphError",
     # launch runtime
     "LaunchPlan", "clear_plan_cache", "plan_cache_info",
-    "ExecutionObserver", "CountingObserver",
+    "ExecutionObserver",
     "register_observer", "unregister_observer", "observe",
     # autotuning
     "autotune", "TuningResult", "TuningCache", "default_cache",

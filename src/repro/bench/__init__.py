@@ -15,7 +15,6 @@ from .figures import (
 )
 from .harness import (
     host_fingerprint,
-    launch_stats,
     measure_wall,
     sim_time_of,
     write_bench_json,
@@ -36,7 +35,6 @@ __all__ = [
     "table3_rows",
     "measure_wall",
     "sim_time_of",
-    "launch_stats",
     "write_report",
     "write_bench_json",
     "host_fingerprint",

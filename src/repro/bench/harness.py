@@ -2,10 +2,9 @@
 
 Shared plumbing for the ``benchmarks/`` suite: wall-clock measurement
 for the host-measured comparisons, simulated-clock capture for the
-modeled comparisons, runtime instrumentation capture (via the real
-:mod:`repro.runtime.instrument` hooks, not callable wrapping), and
-output capture so each bench writes the table it regenerates next to
-printing it.
+modeled comparisons, and output capture so each bench writes the table
+it regenerates next to printing it.  Runtime event counts come from
+:func:`repro.telemetry.collect`.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from ..telemetry.spans import sim_interval, span
 __all__ = [
     "measure_wall",
     "sim_time_of",
-    "launch_stats",
     "write_report",
     "write_bench_json",
     "host_fingerprint",
@@ -59,21 +57,6 @@ def sim_time_of(device) -> Iterator[List[float]]:
     """
     with sim_interval(device) as out:
         yield out
-
-
-@contextmanager
-def launch_stats() -> Iterator["CountingObserver"]:
-    """Count runtime events (launches, blocks, copies, plan-cache hits)
-    over a ``with`` block through the execution-observer hooks::
-
-        with launch_stats() as stats:
-            enqueue(queue, task)
-        print(stats.plan_cache_hit_rate)
-    """
-    from ..runtime import CountingObserver, observe
-
-    with observe(CountingObserver()) as obs:
-        yield obs
 
 
 def _report_dir() -> str:

@@ -29,7 +29,7 @@ interpreted and assert bit-identity.
 from __future__ import annotations
 
 from .exprs import describe_expr
-from .metrics import compile_stats, reset_compile_stats
+from .metrics import compile_stats
 from .replay import (
     CROSSCHECK_ENV,
     CompiledReplay,
@@ -49,6 +49,5 @@ __all__ = [
     "crosscheck_active",
     "CROSSCHECK_ENV",
     "compile_stats",
-    "reset_compile_stats",
     "describe_expr",
 ]

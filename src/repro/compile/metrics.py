@@ -1,140 +1,74 @@
-"""Compile-path accounting: process-local stats + telemetry counters.
+"""Compile-path accounting as ``repro_compile_*`` registry counters.
 
-Every event feeds two sinks at once:
-
-* a cheap in-process snapshot (:func:`compile_stats`) the benchmarks
-  and tests assert on (e.g. "a warm replay performed zero re-traces");
-* the process metrics registry (:mod:`repro.telemetry.metrics`) as
-  ``repro_compile_*`` counters, so the ops endpoints and dump files
-  show how much of the fleet's work ran vectorized and why the rest
-  fell back.
+Every event lands once, in the process metrics registry
+(:mod:`repro.telemetry.metrics`), so the ops endpoints and dump files
+show how much of the fleet's work ran vectorized and why the rest fell
+back.  :func:`compile_stats` reads the same counters back as the
+summary the benchmarks and tests assert on; take a snapshot before and
+after the work of interest and compare the two (e.g. "a warm replay
+performed zero re-traces").
 """
 
 from __future__ import annotations
 
-import threading
-from collections import Counter as _Counter
 from typing import Dict
 
-__all__ = [
-    "compile_stats",
-    "reset_compile_stats",
-    "note_trace",
-    "note_cache_hit",
-    "note_retrace",
-    "note_compiled_launch",
-    "note_fallback",
-    "note_crosscheck",
-]
+__all__ = ["compile_stats", "note"]
 
-_lock = threading.Lock()
-_traces = 0
-_cache_hits = 0
-_retraces = 0
-_compiled_launches = 0
-_crosschecks = 0
-_fallbacks: "_Counter[str]" = _Counter()
-
-
-def _registry():
-    from ..telemetry.metrics import registry
-
-    return registry()
-
-
-def note_trace(kernel: str) -> None:
-    """A kernel shape was traced (cold or after a guard flip)."""
-    global _traces
-    with _lock:
-        _traces += 1
-    _registry().counter(
+#: ``compile_stats()`` key -> (registry counter, help text).
+_COUNTERS = {
+    "traces": (
         "repro_compile_traces_total",
         "Compile traces performed, by kernel",
-        kernel=kernel,
-    ).inc()
-
-
-def note_cache_hit(kernel: str) -> None:
-    """A warm launch reused a cached compiled replay."""
-    global _cache_hits
-    with _lock:
-        _cache_hits += 1
-    _registry().counter(
+    ),
+    "cache_hits": (
         "repro_compile_cache_hits_total",
         "Compiled-replay cache hits, by kernel",
-        kernel=kernel,
-    ).inc()
-
-
-def note_retrace(kernel: str) -> None:
-    """A uniform guard flipped; the shape was re-traced."""
-    global _retraces
-    with _lock:
-        _retraces += 1
-    _registry().counter(
+    ),
+    "retraces": (
         "repro_compile_retraces_total",
         "Compile re-traces after a uniform-guard flip, by kernel",
-        kernel=kernel,
-    ).inc()
-
-
-def note_compiled_launch(kernel: str) -> None:
-    """A launch executed through the vectorized replay."""
-    global _compiled_launches
-    with _lock:
-        _compiled_launches += 1
-    _registry().counter(
+    ),
+    "compiled_launches": (
         "repro_compile_launches_total",
         "Launches executed as compiled replays, by kernel",
-        kernel=kernel,
-    ).inc()
-
-
-def note_fallback(kernel: str, reason: str) -> None:
-    """A compiled dispatch fell back to interpretation."""
-    with _lock:
-        _fallbacks[reason] += 1
-    _registry().counter(
+    ),
+    "crosschecks": (
+        "repro_compile_crosschecks_total",
+        "Compiled-vs-interpreted cross-checks that ran (and matched)",
+    ),
+    "fallbacks": (
         "repro_compile_fallbacks_total",
         "Compiled dispatches that fell back to interpretation, "
         "by kernel and classified reason",
-        kernel=kernel,
-        reason=reason,
-    ).inc()
+    ),
+}
+_STAT_OF = {name: stat for stat, (name, _) in _COUNTERS.items()}
 
 
-def note_crosscheck(kernel: str) -> None:
-    """A compiled-vs-interpreted cross-check passed."""
-    global _crosschecks
-    with _lock:
-        _crosschecks += 1
-    _registry().counter(
-        "repro_compile_crosschecks_total",
-        "Compiled-vs-interpreted cross-checks that ran (and matched)",
-        kernel=kernel,
-    ).inc()
+def note(stat: str, kernel: str, **labels: str) -> None:
+    """Count one compile event: ``stat`` is a :func:`compile_stats` key
+    (``"fallbacks"`` also takes a ``reason`` label)."""
+    from ..telemetry.metrics import registry
+
+    name, help = _COUNTERS[stat]
+    registry().counter(name, help, kernel=kernel, **labels).inc()
 
 
 def compile_stats() -> Dict[str, object]:
-    """Snapshot of the process-local compile counters."""
-    with _lock:
-        return {
-            "traces": _traces,
-            "cache_hits": _cache_hits,
-            "retraces": _retraces,
-            "compiled_launches": _compiled_launches,
-            "crosschecks": _crosschecks,
-            "fallbacks": dict(_fallbacks),
-        }
+    """Process totals of the ``repro_compile_*`` counters: ``traces``,
+    ``cache_hits``, ``retraces``, ``compiled_launches``, ``crosschecks``
+    and ``fallbacks`` (a ``{reason: count}`` dict)."""
+    from ..telemetry.metrics import registry
 
-
-def reset_compile_stats() -> None:
-    """Zero the process-local counters (tests and bench warm-up)."""
-    global _traces, _cache_hits, _retraces, _compiled_launches, _crosschecks
-    with _lock:
-        _traces = 0
-        _cache_hits = 0
-        _retraces = 0
-        _compiled_launches = 0
-        _crosschecks = 0
-        _fallbacks.clear()
+    out: Dict[str, object] = {stat: 0 for stat in _COUNTERS}
+    fallbacks: Dict[str, int] = {}
+    for inst in registry().instruments():
+        stat = _STAT_OF.get(inst.name)
+        if stat == "fallbacks":
+            reason = dict(inst.labels)["reason"]
+            fallbacks[reason] = fallbacks.get(reason, 0) + int(inst.value)
+        elif stat is not None:
+            out[stat] += int(inst.value)
+    out["fallbacks"] = fallbacks
+    return out

@@ -310,7 +310,7 @@ def replay_for(plan, task, args: tuple) -> Tuple[CompiledReplay, bool]:
     entry = cache.get(sig)
     kname = kernel_name(plan.kernel)
     if entry is None:
-        metrics.note_trace(kname)
+        metrics.note("traces", kname)
         try:
             trace = trace_kernel(plan.kernel, plan.work_div, plan.props, args)
         except CompileFallback as cf:
@@ -321,13 +321,13 @@ def replay_for(plan, task, args: tuple) -> Tuple[CompiledReplay, bool]:
         return replay, True
     if isinstance(entry, tuple):
         raise CompileFallback(entry[1], entry[2])
-    metrics.note_cache_hit(kname)
+    metrics.note("cache_hits", kname)
     return entry, False
 
 
 def _retrace(plan, task, args: tuple) -> CompiledReplay:
     kname = kernel_name(plan.kernel)
-    metrics.note_retrace(kname)
+    metrics.note("retraces", kname)
     plan._compiled.pop(_signature(args), None)
     replay, _fresh = replay_for(plan, task, args)
     return replay
@@ -358,7 +358,7 @@ def execute_compiled(plan, grid, task, interpret=None) -> None:
         # interpretation instead of re-failing the replay.
         plan._compiled[replay.sig] = ("fallback", cf.reason, cf.detail)
         raise
-    metrics.note_compiled_launch(kname)
+    metrics.note("compiled_launches", kname)
 
 
 def _run_crosschecked(replay: CompiledReplay, args: tuple, interpret,
@@ -390,4 +390,4 @@ def _run_crosschecked(replay: CompiledReplay, args: tuple, interpret,
                 f"disagree on argument {p} "
                 f"({'shape mismatch' if diff < 0 else f'{diff} differing bytes'})"
             )
-    metrics.note_crosscheck(kname)
+    metrics.note("crosschecks", kname)

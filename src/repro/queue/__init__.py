@@ -5,7 +5,6 @@ from .event import (
     elapsed_sim_time,
     enqueue_after,
     record,
-    wait_queue_for,
 )
 from .queue import Queue, QueueBlocking, QueueNonBlocking, enqueue, wait
 
@@ -18,6 +17,5 @@ __all__ = [
     "Event",
     "record",
     "elapsed_sim_time",
-    "wait_queue_for",
     "enqueue_after",
 ]

@@ -2,7 +2,7 @@
 
 An event is enqueued into a queue; it *fires* when the queue reaches it.
 The host blocks with ``wait(event)``; another queue can be made to wait
-for it with :func:`wait_queue_for`, giving cross-queue dependencies —
+for it with :func:`enqueue_after`, giving cross-queue dependencies —
 the mechanism behind the paper's claim that multiple back-end instances
 can run simultaneously and still be coordinated (Sec. 3.1).
 """
@@ -19,7 +19,6 @@ from .queue import Queue
 __all__ = [
     "Event",
     "record",
-    "wait_queue_for",
     "enqueue_after",
     "elapsed_sim_time",
 ]
@@ -135,13 +134,3 @@ def enqueue_after(queue: Queue, event: Event) -> None:
     thread on the dependency; on a blocking queue this blocks the host,
     which is the correct degenerate behaviour."""
     queue.enqueue_after(event)
-
-
-def wait_queue_for(queue: Queue, event: Event) -> None:
-    """Paper-era alias of :func:`enqueue_after` (``alpaka::wait::
-    wait(stream, event)``), kept for source compatibility.
-
-    A thin shim: it delegates to :func:`enqueue_after` so the two
-    spellings can never diverge (covered by
-    ``tests/queue/test_event_reuse.py``)."""
-    enqueue_after(queue, event)

@@ -24,9 +24,7 @@ and never touch pool or validation logic themselves.
 from __future__ import annotations
 
 from .instrument import (
-    CountingObserver,
     ExecutionObserver,
-    notify_block,
     notify_copy,
     notify_graph_end,
     notify_launch_begin,
@@ -106,14 +104,12 @@ __all__ = [
     "PROCESS_WORKERS_ENV",
     # instrumentation
     "ExecutionObserver",
-    "CountingObserver",
     "register_observer",
     "unregister_observer",
     "observers",
     "observe",
     "notify_launch_begin",
     "notify_launch_end",
-    "notify_block",
     "notify_copy",
     "notify_queue_drain",
     "notify_plan_cache",
@@ -127,8 +123,7 @@ def launch(task, device) -> "LaunchPlan":
 
     Returns the (possibly cached) :class:`LaunchPlan` that executed, so
     callers can inspect scheduling decisions.  This is the single entry
-    point behind every back-end's ``execute``; the legacy
-    ``repro.acc.engine.run_grid`` delegates here.
+    point behind every back-end's ``execute``.
 
     When the sanitizer is active (``REPRO_SANITIZE=1`` or
     :func:`repro.sanitize.enabled`), the launch detours through the

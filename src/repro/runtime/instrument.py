@@ -1,17 +1,17 @@
 """Execution instrumentation: observer hooks threaded through the runtime.
 
 Every interesting runtime transition — a launch starting or finishing, a
-block being dispatched, a copy executing, a queue draining, a launch
+block finishing, a copy executing, a queue draining, a launch
 plan hitting or missing the cache — is announced to the registered
-:class:`ExecutionObserver` instances.  The bench harness and the trace
-layer consume these hooks instead of wrapping user callables, so
+:class:`ExecutionObserver` instances.  The telemetry collector and the
+flight recorder consume these hooks instead of wrapping user callables, so
 instrumentation costs nothing when nothing is registered (each notify
 helper returns immediately on the empty-observer fast path).
 
 Observers are process-global and thread-safe to register from any
 thread; notifications may arrive from scheduler worker threads, so
 observer implementations must be thread-safe themselves
-(:class:`CountingObserver` is).
+(:class:`repro.telemetry.TelemetryCollector` is).
 """
 
 from __future__ import annotations
@@ -22,14 +22,12 @@ from typing import Dict, Iterator, Tuple
 
 __all__ = [
     "ExecutionObserver",
-    "CountingObserver",
     "register_observer",
     "unregister_observer",
     "observers",
     "observe",
     "notify_launch_begin",
     "notify_launch_end",
-    "notify_block",
     "notify_block_end",
     "notify_copy",
     "notify_queue_drain",
@@ -57,9 +55,6 @@ class ExecutionObserver:
 
     def on_launch_end(self, plan, task, device) -> None:
         """All blocks of a launch have completed (or one failed)."""
-
-    def on_block(self, plan, block_idx) -> None:
-        """One block is about to execute (called from worker threads)."""
 
     def on_block_end(self, plan, block_idx, seconds: float) -> None:
         """One block finished; ``seconds`` is its wall duration.
@@ -135,9 +130,9 @@ def observers() -> Tuple[ExecutionObserver, ...]:
 def observe(obs: ExecutionObserver) -> Iterator[ExecutionObserver]:
     """Register ``obs`` for the duration of a ``with`` block::
 
-        with observe(CountingObserver()) as stats:
+        with observe(TelemetryCollector()) as t:
             enqueue(queue, task)
-        assert stats.launches == 1
+        assert t.total("repro_launches_total") == 1
     """
     register_observer(obs)
     try:
@@ -165,14 +160,6 @@ def notify_launch_end(plan, task, device) -> None:
         return
     for o in obs:
         o.on_launch_end(plan, task, device)
-
-
-def notify_block(plan, block_idx) -> None:
-    obs = _observers
-    if not obs:
-        return
-    for o in obs:
-        o.on_block(plan, block_idx)
 
 
 def notify_block_end(plan, block_idx, seconds: float) -> None:
@@ -253,87 +240,3 @@ def notify_span_end(span) -> None:
         return
     for o in obs:
         o.on_span_end(span)
-
-
-class CountingObserver(ExecutionObserver):
-    """Thread-safe event counters — the bench harness's workhorse.
-
-    ``plan_cache_hit_rate`` is the fraction of launches whose plan came
-    out of the LRU cache, the quantity the launch-overhead bench
-    reports.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.launches = 0
-        self.blocks = 0
-        self.copies = 0
-        self.queue_drains = 0
-        self.plan_cache_hits = 0
-        self.plan_cache_misses = 0
-        self.tuning_cache_hits = 0
-        self.tuning_cache_misses = 0
-        self.per_backend: Dict[str, int] = {}
-
-    def on_launch_begin(self, plan, task, device) -> None:
-        with self._lock:
-            self.launches += 1
-            name = plan.acc_type.name
-            self.per_backend[name] = self.per_backend.get(name, 0) + 1
-
-    def on_block(self, plan, block_idx) -> None:
-        with self._lock:
-            self.blocks += 1
-
-    def on_copy(self, task, device) -> None:
-        with self._lock:
-            self.copies += 1
-
-    def on_queue_drain(self, queue) -> None:
-        with self._lock:
-            self.queue_drains += 1
-
-    def on_plan_cache(self, plan, hit: bool) -> None:
-        with self._lock:
-            if hit:
-                self.plan_cache_hits += 1
-            else:
-                self.plan_cache_misses += 1
-
-    def on_tuning_cache(self, kernel, acc_type, hit: bool) -> None:
-        with self._lock:
-            if hit:
-                self.tuning_cache_hits += 1
-            else:
-                self.tuning_cache_misses += 1
-
-    @property
-    def plan_cache_hit_rate(self) -> float:
-        with self._lock:
-            total = self.plan_cache_hits + self.plan_cache_misses
-            return self.plan_cache_hits / total if total else 0.0
-
-    @property
-    def tuning_cache_hit_rate(self) -> float:
-        with self._lock:
-            total = self.tuning_cache_hits + self.tuning_cache_misses
-            return self.tuning_cache_hits / total if total else 0.0
-
-    def snapshot(self) -> Dict[str, object]:
-        with self._lock:
-            return {
-                "launches": self.launches,
-                "blocks": self.blocks,
-                "copies": self.copies,
-                "queue_drains": self.queue_drains,
-                "plan_cache_hits": self.plan_cache_hits,
-                "plan_cache_misses": self.plan_cache_misses,
-                "tuning_cache_hits": self.tuning_cache_hits,
-                "tuning_cache_misses": self.tuning_cache_misses,
-                # A copy: mutating the snapshot must not touch the live
-                # counters.
-                "per_backend": dict(self.per_backend),
-            }
-
-    def __repr__(self) -> str:
-        return f"CountingObserver({self.snapshot()!r})"

@@ -32,12 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.errors import KernelError
 from ..core.vec import Vec
-from .instrument import (
-    notify_block,
-    notify_block_end,
-    notify_worker_span,
-    observers,
-)
+from .instrument import notify_block_end, notify_worker_span, observers
 
 __all__ = [
     "MAX_BLOCK_WORKERS",
@@ -164,7 +159,6 @@ def chunk_indices(indices: Sequence[Vec], workers: int) -> List[Sequence[Vec]]:
 
 def _run_block(plan, grid, bidx: Vec, task, observed: bool) -> None:
     if observed:
-        notify_block(plan, bidx)
         t0 = time.perf_counter()
     try:
         plan.block_runner(grid, bidx, task.kernel, grid.args)
@@ -459,7 +453,7 @@ class ProcessPoolScheduler(Scheduler):
             self._replay(plan, results)
 
     def _replay(self, plan, results) -> None:
-        """Re-announce per-block begin/end to the parent's observers.
+        """Re-announce per-block timings to the parent's observers.
 
         Observers live in the parent process; workers only time.  The
         replay happens after the launch (observer wall-clock ordering
@@ -472,9 +466,7 @@ class ProcessPoolScheduler(Scheduler):
                 _pid, timings = result[0], result[1]
                 _worker_label.value = f"p{i}"
                 for k, seconds in timings or ():
-                    bidx = plan.block_indices[k]
-                    notify_block(plan, bidx)
-                    notify_block_end(plan, bidx, seconds)
+                    notify_block_end(plan, plan.block_indices[k], seconds)
                 # 3-tuple results carry worker-side chunk spans (traced
                 # launches only); hand them to observers with the
                 # worker's real pid attached.
@@ -522,12 +514,12 @@ class CompiledScheduler(Scheduler):
 
     def _fallback(self, plan, grid, block_indices, task, reason: str,
                   detail: str) -> None:
-        from ..compile.metrics import note_fallback
+        from ..compile.metrics import note
         from ..compile.replay import kernel_name
         from ..telemetry import flight
 
         kname = kernel_name(task.kernel)
-        note_fallback(kname, reason)
+        note("fallbacks", kname, reason=reason)
         key = (kname, reason)
         if key not in self._logged_reasons:
             self._logged_reasons.add(key)

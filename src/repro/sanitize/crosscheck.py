@@ -102,7 +102,7 @@ def sweep_crosscheck(
     unclassified crash means a fallback path is missing.
     """
     from ..acc.registry import accelerator
-    from ..compile import CROSSCHECK_ENV, compile_stats, reset_compile_stats
+    from ..compile import CROSSCHECK_ENV, compile_stats
     from ..core.errors import CompileCrossCheckError
     from ..dev.manager import get_dev_by_idx
     from ..queue.queue import QueueBlocking
@@ -114,7 +114,7 @@ def sweep_crosscheck(
     report = CrossCheckReport()
     with _pinned_env(**{SCHEDULER_ENV: "compiled", CROSSCHECK_ENV: "1"}):
         clear_plan_cache()
-        reset_compile_stats()
+        before = compile_stats()
         for backend in backends or DEFAULT_CROSSCHECK_BACKENDS:
             acc = accelerator(backend)
             device = get_dev_by_idx(acc, 0)
@@ -135,9 +135,15 @@ def sweep_crosscheck(
                     )
                 else:
                     report.ran.append((kernel_name, backend))
-        stats = compile_stats()
-    report.crosschecks = int(stats["crosschecks"])
-    report.compiled_launches = int(stats["compiled_launches"])
-    report.fallbacks = dict(stats["fallbacks"])
+        after = compile_stats()
+    report.crosschecks = after["crosschecks"] - before["crosschecks"]
+    report.compiled_launches = (
+        after["compiled_launches"] - before["compiled_launches"]
+    )
+    report.fallbacks = {
+        reason: n - before["fallbacks"].get(reason, 0)
+        for reason, n in after["fallbacks"].items()
+        if n > before["fallbacks"].get(reason, 0)
+    }
     clear_plan_cache()
     return report

@@ -79,6 +79,11 @@ class Workload:
     #: ``"launch"`` workloads may batch; ``"graph"`` workloads are
     #: admitted whole.
     kind: str = "launch"
+    #: The one kernel instance every request of this workload launches.
+    #: Launch plans (and compiled replays) are cached per kernel object,
+    #: so a fresh instance per request would make every request a cold
+    #: plan build and a fresh trace.
+    kernel = None
 
     def validate(self, req) -> None:
         """Raise :class:`ServeError` when the payload is malformed.
@@ -200,6 +205,7 @@ class AxpyWorkload(Workload):
     """``y <- alpha * x + y`` (params: ``alpha``; arrays: ``x``, ``y``)."""
 
     name = "axpy"
+    kernel = AxpyElementsKernel()
 
     def validate(self, req) -> None:
         x = _array(req, "x", 1)
@@ -227,11 +233,10 @@ class AxpyWorkload(Workload):
         x = _stage(queue, device, x_host)
         y = _stage(queue, device, y_host)
         try:
-            kernel = AxpyElementsKernel()
             task = create_task_kernel(
                 acc_type,
-                _elementwise_workdiv(acc_type, device, n, kernel),
-                kernel, n, alpha, x, y,
+                _elementwise_workdiv(acc_type, device, n, self.kernel),
+                self.kernel, n, alpha, x, y,
             )
             queue.enqueue(task)
             merged = _fetch(queue, y, y_host.shape, y_host.dtype)
@@ -247,7 +252,7 @@ class AxpyWorkload(Workload):
 
     def retune(self, acc_type, device, n: int, budget: int) -> bool:
         return _retune_elementwise(
-            AxpyElementsKernel(),
+            self.kernel,
             lambda n_, x, y: (n_, 1.0, x, y),
             acc_type, device, n, budget,
         )
@@ -257,6 +262,7 @@ class ScaleWorkload(Workload):
     """``out <- factor * x`` (params: ``factor``; arrays: ``x``)."""
 
     name = "scale"
+    kernel = ScaleKernel()
 
     def validate(self, req) -> None:
         x = _array(req, "x", 1)
@@ -279,11 +285,10 @@ class ScaleWorkload(Workload):
         x = _stage(queue, device, x_host)
         result = _stage(queue, device, np.zeros_like(x_host))
         try:
-            kernel = ScaleKernel()
             task = create_task_kernel(
                 acc_type,
-                _elementwise_workdiv(acc_type, device, n, kernel),
-                kernel, n, factor, x, result,
+                _elementwise_workdiv(acc_type, device, n, self.kernel),
+                self.kernel, n, factor, x, result,
             )
             queue.enqueue(task)
             merged = _fetch(queue, result, x_host.shape, x_host.dtype)
@@ -299,7 +304,7 @@ class ScaleWorkload(Workload):
 
     def retune(self, acc_type, device, n: int, budget: int) -> bool:
         return _retune_elementwise(
-            ScaleKernel(),
+            self.kernel,
             lambda n_, x, out: (n_, 1.0, x, out),
             acc_type, device, n, budget,
         )
@@ -322,6 +327,7 @@ class GemmWorkload(Workload):
     """
 
     name = "gemm"
+    kernel = BatchedGemmKernel()
 
     def validate(self, req) -> None:
         A = _array(req, "A", 2)
@@ -374,7 +380,7 @@ class GemmWorkload(Workload):
             task = create_task_kernel(
                 acc_type,
                 WorkDivMembers.make(chunks, 1, 1),
-                BatchedGemmKernel(),
+                self.kernel,
                 batch, n, DEFAULT_ROWS_PER_CHUNK, alpha, beta, A, B, C,
             )
             queue.enqueue(task)
@@ -403,6 +409,7 @@ class HeatEquationWorkload(Workload):
 
     name = "heat_equation"
     kind = "graph"
+    kernel = Jacobi2DKernel()
 
     def validate(self, req) -> None:
         plate = _array(req, "plate", 2)
@@ -432,14 +439,13 @@ class HeatEquationWorkload(Workload):
             elems = Vec(min(h, 8), min(w, 16))
             blocks = Vec(h, w).ceil_div(elems)
             work_div = WorkDivMembers.make(blocks, Vec(1, 1), elems)
-            kernel = Jacobi2DKernel()
             result = np.empty((h, w))
             try:
                 g = Graph()
                 g.copy(src, plate, label="stage")
                 for step in range(steps):
                     g.launch(
-                        acc_type, work_div, kernel, h, w, c, src, dst,
+                        acc_type, work_div, self.kernel, h, w, c, src, dst,
                         reads=[src], writes=[dst], label=f"sweep{step}",
                     )
                     src, dst = dst, src

@@ -418,15 +418,21 @@ class TelemetryCollector(ExecutionObserver):
 
     # -- aggregate queries ----------------------------------------------
 
-    def _cache_rate(self, metric: str) -> Optional[float]:
-        hits = misses = 0.0
+    def total(self, metric: str, **labels: str) -> float:
+        """``metric`` summed across every label set that carries
+        ``labels`` — counter values, or observation counts for a
+        histogram: ``total("repro_launches_total", backend="AccCpuSerial")``.
+        """
+        want = set(labels.items())
+        out = 0.0
         for inst in self.registry.instruments(metric):
-            labels = dict(inst.labels)
-            if labels.get("result") == "hit":
-                hits += inst.value
-            else:
-                misses += inst.value
-        total = hits + misses
+            if want <= set(inst.labels):
+                out += inst.count if inst.kind == "histogram" else inst.value
+        return out
+
+    def _cache_rate(self, metric: str) -> Optional[float]:
+        hits = self.total(metric, result="hit")
+        total = self.total(metric)
         return hits / total if total else None
 
     @property

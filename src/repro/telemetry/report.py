@@ -44,17 +44,6 @@ def _find(collector, metric: str, **labels) -> Optional[object]:
     return None
 
 
-def _sum_counters(collector, metric: str, **labels) -> float:
-    """Total over every instrument matching ``labels`` (a kernel that ran
-    under several schedules owns one counter per schedule)."""
-    total = 0.0
-    for inst in collector.registry.instruments(metric):
-        have = dict(inst.labels)
-        if all(have.get(k) == v for k, v in labels.items()):
-            total += inst.value
-    return total
-
-
 def _launch_rows(collector: TelemetryCollector) -> List[Dict[str, object]]:
     rows = []
     for kernel, backend, device in collector.kernels():
@@ -88,8 +77,8 @@ def _launch_rows(collector: TelemetryCollector) -> List[Dict[str, object]]:
         row: Dict[str, object] = {
             "kernel": kernel,
             "backend": backend,
-            "launches": int(_sum_counters(
-                collector, "repro_launches_total",
+            "launches": int(collector.total(
+                "repro_launches_total",
                 kernel=kernel, backend=backend, device=device,
             )) if launches else 0,
             "launch p50": _fmt_seconds(
@@ -108,12 +97,14 @@ def _launch_rows(collector: TelemetryCollector) -> List[Dict[str, object]]:
             else "-"
         )
         row["modeled/wall"] = skew
-        total = _sum_counters(
-            collector, "repro_launches_total",
+        # A kernel that ran under several schedules owns one counter
+        # per schedule.
+        total = collector.total(
+            "repro_launches_total",
             kernel=kernel, backend=backend, device=device,
         )
-        vectorised = _sum_counters(
-            collector, "repro_launches_total",
+        vectorised = collector.total(
+            "repro_launches_total",
             kernel=kernel, backend=backend, device=device,
             schedule="compiled",
         )
@@ -348,41 +339,25 @@ def _drift_rows(collector: TelemetryCollector) -> List[Dict[str, object]]:
     return rows
 
 
-def _counter_total(collector, metric: str) -> float:
-    return sum(inst.value for inst in collector.registry.instruments(metric))
-
-
 def summary(collector: TelemetryCollector) -> Dict[str, object]:
     """The report's aggregates as a plain dict (programmatic access)."""
     return {
-        "launches": int(_counter_total(collector, "repro_launches_total")),
-        "copies": int(_counter_total(collector, "repro_copies_total")),
-        "queue_drains": int(
-            _counter_total(collector, "repro_queue_drains_total")
-        ),
+        "launches": int(collector.total("repro_launches_total")),
+        "copies": int(collector.total("repro_copies_total")),
+        "queue_drains": int(collector.total("repro_queue_drains_total")),
         "sanitizer_findings": int(
-            _counter_total(collector, "repro_sanitizer_findings_total")
+            collector.total("repro_sanitizer_findings_total")
         ),
-        "graph_submits": int(
-            _counter_total(collector, "repro_graph_submits_total")
-        ),
-        "serve_requests": int(
-            _counter_total(collector, "repro_serve_requests_total")
-        ),
+        "graph_submits": int(collector.total("repro_graph_submits_total")),
+        "serve_requests": int(collector.total("repro_serve_requests_total")),
         "fleet_measurements": int(
-            _counter_total(collector, "repro_tuning_fleet_measurements_total")
+            collector.total("repro_tuning_fleet_measurements_total")
         ),
         "fleet_adopted": int(
-            _counter_total(collector, "repro_tuning_fleet_adopted_total")
+            collector.total("repro_tuning_fleet_adopted_total")
         ),
         "drift_retunes": int(
-            sum(
-                inst.value
-                for inst in collector.registry.instruments(
-                    "repro_tuning_fleet_drift_total"
-                )
-                if dict(inst.labels).get("outcome") == "retuned"
-            )
+            collector.total("repro_tuning_fleet_drift_total", outcome="retuned")
         ),
         "plan_cache_hit_rate": collector.plan_cache_hit_rate,
         "tuning_cache_hit_rate": collector.tuning_cache_hit_rate,

@@ -12,7 +12,6 @@ from .cpu_asm import (
 from .ir import Instruction, IRBuilder
 from .native_cuda import CudaSurface, trace_cuda_kernel
 from .symbolic import Product, SymArray, SymBool, SymFloat, SymInt, TraceContext
-from .timeline import TimelineEvent, TimelineObserver, trace_execution
 
 __all__ = [
     "IRBuilder",
@@ -36,7 +35,4 @@ __all__ = [
     "trace_cpu_kernel_scalar",
     "trace_cpu_kernel_spans",
     "classify_fp_instructions",
-    "TimelineEvent",
-    "TimelineObserver",
-    "trace_execution",
 ]

@@ -230,7 +230,8 @@ def autotune(
     ``acc_type`` covering ``extent``.
 
     A cache hit returns immediately with zero kernel launches (observe
-    it via ``from_cache`` or the runtime's ``CountingObserver``); pass
+    it via ``from_cache`` or ``repro_launches_total`` under
+    :func:`repro.telemetry.collect`); pass
     ``force=True`` to re-measure regardless.  Otherwise every strategy
     measures the Table 2 seed divisions plus its share of the candidate
     space, so the result can only tie or beat the default heuristic.

@@ -4,8 +4,8 @@ Task→Plan→Execute runtime.
 A measurement must cost what a *real* launch costs, so candidates are
 executed through the same pipeline the application uses — the plan
 cache, the schedulers, the :class:`~repro.runtime.ExecutionObserver`
-hooks all fire (the bench's ``launch_stats`` counters therefore count
-tuning launches too, which is how the warm-cache acceptance check
+hooks all fire (a :func:`repro.telemetry.collect` block's
+``repro_launches_total`` therefore counts tuning launches too, which is how the warm-cache acceptance check
 "zero measurement launches" observes the tuner).
 
 Two clocks, chosen automatically per kernel:

@@ -11,11 +11,13 @@ from repro import (
     get_dev_by_idx,
     mem,
 )
-from repro.compile import compile_stats, reset_compile_stats
+from repro.compile import compile_stats
 from repro.core.index import Grid, Threads, get_idx
 from repro.core.kernel import fn_acc
 from repro.kernels import AxpyElementsKernel, AxpyKernel, axpy_reference
 from repro.runtime import clear_plan_cache, get_plan
+
+from tests.conftest import compile_stats_since
 
 
 Acc = accelerator("AccCpuOmp2Blocks")
@@ -25,10 +27,16 @@ Acc = accelerator("AccCpuOmp2Blocks")
 def compiled_env(monkeypatch):
     monkeypatch.setenv("REPRO_SCHEDULER", "compiled")
     monkeypatch.delenv("REPRO_COMPILE_CROSSCHECK", raising=False)
+    global _before
     clear_plan_cache()
-    reset_compile_stats()
+    _before = compile_stats()
     yield
     clear_plan_cache()
+
+
+def stats():
+    """Compile counters accrued since the test started."""
+    return compile_stats_since(_before)
 
 
 def run(kernel, wd, *scalars, arrays):
@@ -89,7 +97,7 @@ class TestExecution:
         )
         np.testing.assert_array_equal(yo, axpy_reference(3.0, x, y))
         np.testing.assert_array_equal(xo, x)
-        st = compile_stats()
+        st = stats()
         assert st["compiled_launches"] == 1
         assert st["fallbacks"] == {}
 
@@ -105,7 +113,7 @@ class TestExecution:
         k = AxpyKernel()
         for _ in range(5):
             q.enqueue(create_task_kernel(Acc, wd, k, n, 2.0, bx, by))
-        st = compile_stats()
+        st = stats()
         assert st["traces"] == 1
         assert st["retraces"] == 0
         assert st["cache_hits"] == 4
@@ -133,7 +141,7 @@ class TestExecution:
         np.testing.assert_array_equal(y0, 2.0 * x)
         (x1, y1) = run(kernel, wd, n, 0.0, arrays=[x, np.ones(n)])
         np.testing.assert_array_equal(y1, np.zeros(n))
-        st = compile_stats()
+        st = stats()
         assert st["retraces"] == 1
         assert st["fallbacks"] == {}
 
@@ -153,7 +161,7 @@ class TestExecution:
         wd = WorkDivMembers.make(n, 1, 1)
         _, y = run(kernel, wd, n, arrays=[x, np.zeros(n)])
         np.testing.assert_array_equal(y, np.where(x > 0.5, 1.0, -1.0))
-        st = compile_stats()
+        st = stats()
         assert st["fallbacks"].get("divergent-control-flow", 0) >= 1
         assert st["compiled_launches"] == 0
 
@@ -175,7 +183,7 @@ class TestExecution:
             q.enqueue(create_task_kernel(Acc, wd, kernel, n, by))
         res = np.empty(1); mem.copy(q, res, by)
         assert res[0] == 24.0  # 3 launches x 8 increments
-        st = compile_stats()
+        st = stats()
         assert st["traces"] == 1
         assert st["fallbacks"].get("atomics") == 3
 
@@ -195,7 +203,7 @@ class TestExecution:
         np.testing.assert_array_equal(
             y32, np.float32(1.5) * x + y
         )
-        assert compile_stats()["traces"] == 2
+        assert stats()["traces"] == 2
 
 
 class TestTelemetryLabels:
@@ -239,3 +247,43 @@ class TestTelemetryLabels:
         assert rows
         assert rows[0]["launches"] == 2
         assert rows[0]["compiled"] == "1/2"
+
+
+class TestCompileStats:
+    def test_stats_are_registry_sums(self):
+        """``compile_stats()`` is a read of the ``repro_compile_*``
+        registry counters, summed over their kernel labels."""
+        from repro.telemetry.metrics import registry
+
+        n = 64
+        x, y = np.arange(float(n)), np.zeros(n)
+        run(AxpyKernel(), WorkDivMembers.make(n, 1, 1), n, 2.0,
+            arrays=[x, y])
+
+        @fn_acc
+        def divergent(acc, n, x, y):
+            i = get_idx(acc, Grid, Threads)[0]
+            if i < n:
+                if x[i] > 3.0:
+                    y[i] = 1.0
+
+        run(divergent, WorkDivMembers.make(n, 1, 1), n, arrays=[x, y])
+        delta = stats()
+        assert delta["compiled_launches"] == 1
+        assert delta["fallbacks"] == {"divergent-control-flow": 1}
+
+        def total(name):
+            return int(sum(i.value for i in registry().instruments(name)))
+
+        fallbacks = {}
+        for inst in registry().instruments("repro_compile_fallbacks_total"):
+            reason = dict(inst.labels)["reason"]
+            fallbacks[reason] = fallbacks.get(reason, 0) + int(inst.value)
+        assert compile_stats() == {
+            "traces": total("repro_compile_traces_total"),
+            "cache_hits": total("repro_compile_cache_hits_total"),
+            "retraces": total("repro_compile_retraces_total"),
+            "compiled_launches": total("repro_compile_launches_total"),
+            "crosschecks": total("repro_compile_crosschecks_total"),
+            "fallbacks": fallbacks,
+        }

@@ -11,12 +11,14 @@ from repro import (
     get_dev_by_idx,
     mem,
 )
-from repro.compile import compile_stats, crosscheck_active, reset_compile_stats
+from repro.compile import compile_stats, crosscheck_active
 from repro.core.errors import CompileCrossCheckError
 from repro.core.index import Grid, Threads, get_idx
 from repro.core.kernel import fn_acc
 from repro.kernels import AxpyKernel, axpy_reference
 from repro.runtime import clear_plan_cache
+
+from tests.conftest import compile_stats_since
 
 
 Acc = accelerator("AccCpuOmp2Blocks")
@@ -26,10 +28,16 @@ Acc = accelerator("AccCpuOmp2Blocks")
 def crosscheck_env(monkeypatch):
     monkeypatch.setenv("REPRO_SCHEDULER", "compiled")
     monkeypatch.setenv("REPRO_COMPILE_CROSSCHECK", "1")
+    global _before
     clear_plan_cache()
-    reset_compile_stats()
+    _before = compile_stats()
     yield
     clear_plan_cache()
+
+
+def stats():
+    """Compile counters accrued since the test started."""
+    return compile_stats_since(_before)
 
 
 def launch(kernel, wd, *scalars, arrays):
@@ -68,7 +76,7 @@ def test_axpy_crosscheck_passes_and_counts():
         arrays=[x, y],
     )
     np.testing.assert_array_equal(yo, axpy_reference(1.75, x, y))
-    st = compile_stats()
+    st = stats()
     assert st["crosschecks"] == 1
     assert st["compiled_launches"] == 1
 
@@ -116,7 +124,7 @@ def test_buffers_restored_before_interpreted_run():
     )
     # axpy with alpha=1 accumulates: y_out = x + y, applied exactly once.
     np.testing.assert_array_equal(yo, x + y)
-    assert compile_stats()["crosschecks"] == 1
+    assert stats()["crosschecks"] == 1
 
 
 def test_crosscheck_off_by_default(monkeypatch):
@@ -126,4 +134,4 @@ def test_crosscheck_off_by_default(monkeypatch):
         AxpyKernel(), WorkDivMembers.make(n, 1, 1), n, 2.0,
         arrays=[np.arange(float(n)), np.zeros(n)],
     )
-    assert compile_stats()["crosschecks"] == 0
+    assert stats()["crosschecks"] == 0

@@ -25,7 +25,7 @@ from repro import (
     get_dev_by_idx,
     mem,
 )
-from repro.compile import compile_stats, reset_compile_stats
+from repro.compile import compile_stats
 from repro.kernels import (
     AxpyElementsKernel,
     AxpyKernel,
@@ -38,6 +38,8 @@ from repro.kernels import (
     SumReduceKernel,
 )
 from repro.runtime import clear_plan_cache
+
+from tests.conftest import compile_stats_since
 
 
 Acc = accelerator("AccCpuOmp2Blocks")
@@ -79,11 +81,11 @@ def run_with_scheduler(schedule, kernel, wd, scalars, arrays):
 
 
 def assert_bit_identical(kernel, wd, scalars, arrays):
-    reset_compile_stats()
+    before = compile_stats()
     compiled = run_with_scheduler("compiled", kernel, wd, scalars, arrays)
     interpreted = run_with_scheduler("sequential", kernel, wd, scalars, arrays)
     assert compiled == interpreted
-    return compile_stats()
+    return compile_stats_since(before)
 
 
 # -- compilable families ------------------------------------------------
@@ -204,7 +206,7 @@ def test_non_compilable_falls_back_with_reason(n, seed, family):
         # x is read-only input; stage it as an array arg too.
         arrays = [scalars[-1]] + arrays
         scalars = scalars[:-1]
-    reset_compile_stats()
+    before = compile_stats()
     wd = WorkDivMembers.make(8, 1, 4)
     compiled = run_with_scheduler("compiled", kernel, wd, scalars, arrays)
     interpreted = run_with_scheduler("pooled", kernel, wd, scalars, arrays)
@@ -218,7 +220,7 @@ def test_non_compilable_falls_back_with_reason(n, seed, family):
             np.frombuffer(got), np.frombuffer(want), rtol=1e-12, atol=0.0,
             err_msg=name,
         )
-    stats = compile_stats()
+    stats = compile_stats_since(before)
     assert stats["compiled_launches"] == 0, name
     assert expected_reason in stats["fallbacks"], (
         name, stats["fallbacks"])

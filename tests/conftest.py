@@ -79,3 +79,19 @@ class KernelRunner:
 @pytest.fixture
 def runner():
     return KernelRunner()
+
+
+def compile_stats_since(before):
+    """``repro.compile.compile_stats()`` minus the snapshot ``before``,
+    in the same dict shape (fallback reasons that did not grow drop
+    out)."""
+    from repro.compile import compile_stats
+
+    after = compile_stats()
+    out = {k: after[k] - before[k] for k in after if k != "fallbacks"}
+    out["fallbacks"] = {
+        reason: n - before["fallbacks"].get(reason, 0)
+        for reason, n in after["fallbacks"].items()
+        if n > before["fallbacks"].get(reason, 0)
+    }
+    return out

@@ -15,7 +15,7 @@ from repro.core.errors import GraphError, KernelError
 from repro.core.kernel import fn_acc
 from repro.graph import REPLAY_ENV
 from repro.runtime import clear_plan_cache, graph_plan_cache_info
-from repro.runtime.instrument import CountingObserver, observe
+from repro.runtime.instrument import ExecutionObserver, observe
 
 WD = WorkDivMembers.make(1, 1, 1)
 
@@ -196,7 +196,7 @@ class TestStatsAndAsync:
         g, buf = _chain(dev)
         assert g.submit().last_stats.node_info == ()
         assert g.submit().last_stats.nodes == ()
-        with observe(CountingObserver()):
+        with observe(ExecutionObserver()):
             stats = g.submit().last_stats
         assert len(stats.node_info) == 3
         rec = stats.nodes[1]

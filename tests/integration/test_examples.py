@@ -13,12 +13,17 @@ EXAMPLES = os.path.join(
 
 
 def run_example(name, argv):
+    """Run an example in-process; its ``sys.argv`` and any environment
+    variables it sets are restored afterwards."""
     old_argv = sys.argv
+    old_env = dict(os.environ)
     sys.argv = [name] + argv
     try:
         runpy.run_path(os.path.join(EXAMPLES, name), run_name="__main__")
     finally:
         sys.argv = old_argv
+        os.environ.clear()
+        os.environ.update(old_env)
 
 
 class TestExamples:
@@ -53,4 +58,8 @@ class TestExamples:
         run_example("serving_client.py", [])
 
     def test_online_tuning(self):
+        keys = ("REPRO_TUNING_CACHE", "REPRO_TUNING_HOF")
+        before = {k: os.environ.get(k) for k in keys}
         run_example("online_tuning.py", [])
+        # The example points these at a temp dir it deletes on exit.
+        assert {k: os.environ.get(k) for k in keys} == before

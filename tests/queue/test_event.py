@@ -7,7 +7,7 @@ import pytest
 
 from repro import AccCpuSerial, AccGpuCudaSim, get_dev_by_idx
 from repro.core.errors import QueueError
-from repro.queue import Event, QueueBlocking, QueueNonBlocking, record, wait_queue_for
+from repro.queue import Event, QueueBlocking, QueueNonBlocking, enqueue_after, record
 
 
 @pytest.fixture
@@ -62,7 +62,7 @@ class TestEventBasics:
 
 
 class TestCrossQueueDependency:
-    def test_wait_queue_for(self, dev):
+    def test_enqueue_after(self, dev):
         """Queue B must not run its task before the event in queue A."""
         order = []
         qa = QueueNonBlocking(dev)
@@ -71,7 +71,7 @@ class TestCrossQueueDependency:
 
         qa.enqueue(lambda: (time.sleep(0.1), order.append("a"))[-1])
         ev.record(qa)
-        wait_queue_for(qb, ev)
+        enqueue_after(qb, ev)
         qb.enqueue(lambda: order.append("b"))
 
         qb.wait()

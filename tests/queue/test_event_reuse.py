@@ -1,6 +1,6 @@
 """Event reuse semantics: record + wait + re-record, across queues and
-under the process-pool scheduler — and the ``wait_queue_for`` /
-``enqueue_after`` alias contract.
+under the process-pool scheduler — and the contract between the
+``enqueue_after`` free function and the ``Queue.enqueue_after`` method.
 
 One :class:`~repro.queue.Event` object is a reusable marker (CUDA
 semantics): every ``record`` re-arms it, ``wait`` targets the *latest*
@@ -25,7 +25,6 @@ from repro.queue import (
     QueueBlocking,
     QueueNonBlocking,
     enqueue_after,
-    wait_queue_for,
 )
 from repro.runtime import clear_plan_cache, get_plan, shutdown_schedulers
 from repro.runtime.procpool import reset_worker_state
@@ -38,28 +37,31 @@ def dev():
 
 
 class TestAliasContract:
-    """``wait_queue_for`` must stay a shim over ``enqueue_after``."""
+    """The ``enqueue_after`` free function must stay a shim over the
+    ``Queue.enqueue_after`` method."""
 
     def test_alias_delegates_not_reimplements(self, dev, monkeypatch):
-        """The paper-era spelling routes through the canonical one, so
-        the two can never drift apart semantically."""
+        """The free-function spelling routes through the method, so the
+        two can never drift apart semantically."""
         calls = []
-        import repro.queue.event as event_mod
-
         monkeypatch.setattr(
-            event_mod,
+            QueueBlocking,
             "enqueue_after",
             lambda queue, event: calls.append((queue, event)),
         )
         q = QueueBlocking(dev)
         ev = Event(dev)
-        event_mod.wait_queue_for(q, ev)
+        enqueue_after(q, ev)
         assert calls == [(q, ev)]
 
     def test_both_spellings_gate_identically(self, dev):
         """Functional equivalence: either spelling defers queue B's task
         until the event in queue A fires."""
-        for gate in (wait_queue_for, enqueue_after):
+
+        def method(queue, event):
+            queue.enqueue_after(event)
+
+        for gate in (method, enqueue_after):
             order = []
             qa, qb = QueueNonBlocking(dev), QueueNonBlocking(dev)
             ev = Event(dev)

@@ -1,4 +1,5 @@
-"""ExecutionObserver hooks: registration, notification, counters."""
+"""ExecutionObserver hooks: registration, notification, and the counts
+the telemetry collector derives from them."""
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from repro import (
     AccCpuOmp2Blocks,
     AccCpuSerial,
     AccGpuCudaSim,
-    CountingObserver,
     ExecutionObserver,
     QueueBlocking,
     QueueNonBlocking,
@@ -19,9 +19,11 @@ from repro import (
     mem,
     observe,
     register_observer,
+    telemetry,
     unregister_observer,
 )
 from repro.runtime.instrument import observers
+from repro.telemetry import TelemetryCollector
 
 
 @fn_acc
@@ -36,16 +38,30 @@ def fresh_cache():
     clear_plan_cache()
 
 
+@pytest.fixture
+def isolated_tuning_cache(tmp_path, monkeypatch):
+    """A throwaway tuning cache (and hall of fame), fleet off."""
+    from repro.tuning import TUNING_CACHE_ENV, reset_default_cache
+    from repro.tuning.fleet.config import FLEET_ENV, HOF_ENV
+
+    monkeypatch.setenv(TUNING_CACHE_ENV, str(tmp_path / "cache.json"))
+    monkeypatch.setenv(HOF_ENV, str(tmp_path / "hof.json"))
+    monkeypatch.delenv(FLEET_ENV, raising=False)
+    reset_default_cache()
+    yield
+    reset_default_cache()
+
+
 class TestRegistration:
     def test_observe_context_registers_and_removes(self):
-        obs = CountingObserver()
+        obs = TelemetryCollector()
         assert obs not in observers()
         with observe(obs):
             assert obs in observers()
         assert obs not in observers()
 
     def test_register_is_idempotent(self):
-        obs = CountingObserver()
+        obs = TelemetryCollector()
         register_observer(obs)
         register_observer(obs)
         try:
@@ -60,23 +76,48 @@ class TestLaunchHooks:
         dev = get_dev_by_idx(AccCpuSerial, 0)
         q = QueueBlocking(dev)
         task = create_task_kernel(AccCpuSerial, WorkDivMembers.make(6, 1, 1), _noop)
-        with observe(CountingObserver()) as stats:
+        with telemetry.collect() as t:
             q.enqueue(task)
             q.enqueue(task)
-        assert stats.launches == 2
-        assert stats.blocks == 12
-        assert stats.per_backend == {"AccCpuSerial": 2}
+        assert t.total("repro_launches_total") == 2
+        assert t.total("repro_launches_total", backend="AccCpuSerial") == 2
+        assert t.total("repro_launches_total", backend="AccGpuCudaSim") == 0
+        assert t.total("repro_block_seconds") == 12
 
     def test_plan_cache_counters_via_observer(self):
         dev = get_dev_by_idx(AccCpuSerial, 0)
         q = QueueBlocking(dev)
         task = create_task_kernel(AccCpuSerial, WorkDivMembers.make(2, 1, 1), _noop)
-        with observe(CountingObserver()) as stats:
+        with telemetry.collect() as t:
             for _ in range(5):
                 q.enqueue(task)
-        assert stats.plan_cache_misses == 1
-        assert stats.plan_cache_hits == 4
-        assert stats.plan_cache_hit_rate == pytest.approx(0.8)
+        assert t.total("repro_plan_cache_total", result="miss") == 1
+        assert t.total("repro_plan_cache_total", result="hit") == 4
+        assert t.plan_cache_hit_rate == pytest.approx(0.8)
+
+    def test_tuning_cache_hit_rate(self, isolated_tuning_cache):
+        from repro import AutoWorkDiv, autotune
+        from repro.kernels import AxpyKernel
+
+        dev = get_dev_by_idx(AccCpuSerial, 0)
+        q = QueueBlocking(dev)
+        n = 64
+        x = mem.alloc(dev, n)
+        y = mem.alloc(dev, n)
+        kernel = AxpyKernel()
+        with telemetry.collect() as t:
+            # Untuned: the AUTO division falls back to the heuristic.
+            q.enqueue(create_task_kernel(
+                AccCpuSerial, AutoWorkDiv(n), kernel, n, 2.0, x, y))
+            autotune(kernel, AccCpuSerial, n, (n, 2.0, x, y),
+                     strategy="random", budget=2)
+            q.enqueue(create_task_kernel(
+                AccCpuSerial, AutoWorkDiv(n), kernel, n, 2.0, x, y))
+        assert t.total("repro_tuning_cache_total", result="miss") >= 1
+        assert t.total("repro_tuning_cache_total", result="hit") >= 1
+        assert 0.0 < t.tuning_cache_hit_rate < 1.0
+        x.free()
+        y.free()
 
     def test_launch_end_fires_even_on_kernel_failure(self):
         from repro.core.errors import KernelError
@@ -106,7 +147,7 @@ class TestLaunchHooks:
         seen = []
 
         class BlockWatcher(ExecutionObserver):
-            def on_block(self, plan, block_idx):
+            def on_block_end(self, plan, block_idx, seconds):
                 seen.append(block_idx)
 
         dev = get_dev_by_idx(AccCpuOmp2Blocks, 0)
@@ -126,69 +167,20 @@ class TestCopyAndQueueHooks:
         dev = get_dev_by_idx(AccGpuCudaSim, 0)
         q = QueueBlocking(dev)
         buf = mem.alloc(dev, 16)
-        with observe(CountingObserver()) as stats:
+        with telemetry.collect() as t:
             mem.memset(q, buf, 0.0)
             mem.copy(q, buf, np.ones(16))
             out = np.zeros(16)
             mem.copy(q, out, buf)
-        assert stats.copies == 3
+        assert t.total("repro_copies_total") == 3
         buf.free()
 
     def test_nonblocking_queue_drain_notifies(self):
         dev = get_dev_by_idx(AccGpuCudaSim, 0)
         q = QueueNonBlocking(dev)
-        with observe(CountingObserver()) as stats:
+        with telemetry.collect() as t:
             for _ in range(3):
                 q.enqueue(lambda: None)
             q.wait()
-        assert stats.queue_drains >= 1
+        assert t.total("repro_queue_drains_total") >= 1
         q.destroy()
-
-    def test_bench_harness_launch_stats(self):
-        from repro.bench import launch_stats
-
-        dev = get_dev_by_idx(AccCpuSerial, 0)
-        q = QueueBlocking(dev)
-        task = create_task_kernel(AccCpuSerial, WorkDivMembers.make(3, 1, 1), _noop)
-        with launch_stats() as stats:
-            q.enqueue(task)
-            q.enqueue(task)
-        assert stats.launches == 2
-        assert stats.plan_cache_hits == 1
-
-    def test_counting_snapshot_includes_per_backend(self):
-        """Regression: snapshot() used to omit the per_backend split."""
-        dev = get_dev_by_idx(AccCpuSerial, 0)
-        q = QueueBlocking(dev)
-        task = create_task_kernel(AccCpuSerial, WorkDivMembers.make(2, 1, 1), _noop)
-        with observe(CountingObserver()) as stats:
-            q.enqueue(task)
-            q.enqueue(task)
-        snap = stats.snapshot()
-        assert snap["per_backend"] == {"AccCpuSerial": 2}
-        assert snap["launches"] == 2
-        assert snap["tuning_cache_hits"] == 0
-        assert snap["tuning_cache_misses"] == 0
-        # The snapshot is a copy: mutating it must not touch the live
-        # counters.
-        snap["per_backend"]["AccCpuSerial"] = 99
-        assert stats.per_backend["AccCpuSerial"] == 2
-
-    def test_timeline_observer_records_ordered_events(self):
-        from repro.trace import trace_execution
-
-        dev = get_dev_by_idx(AccCpuSerial, 0)
-        q = QueueBlocking(dev)
-        task = create_task_kernel(AccCpuSerial, WorkDivMembers.make(2, 1, 1), _noop)
-        buf = mem.alloc(dev, 4)
-        with trace_execution(record_blocks=True) as tl:
-            q.enqueue(task)
-            mem.memset(q, buf, 1.0)
-        kinds = [e.kind for e in tl.events]
-        assert kinds[0] == "launch_begin"
-        assert kinds.count("block") == 2
-        assert "launch_end" in kinds
-        assert "copy" in kinds
-        assert tl.span(0) is not None and tl.span(0) >= 0.0
-        assert "AccCpuSerial" in tl.render()
-        buf.free()

@@ -5,7 +5,6 @@ import pytest
 from repro import (
     AccCpuOmp2Blocks,
     AccCpuSerial,
-    CountingObserver,
     ExecutionObserver,
     QueueBlocking,
     WorkDivMembers,
@@ -14,6 +13,7 @@ from repro import (
     fn_acc,
     get_dev_by_idx,
     observe,
+    telemetry,
 )
 from repro.core.errors import KernelError
 
@@ -64,12 +64,11 @@ class TestObserverExceptionOrdering:
 
     def test_launch_end_reaches_later_observers_after_kernel_failure(self):
         """Counting continues for observers behind the failing launch."""
-        stats = CountingObserver()
         q = QueueBlocking(get_dev_by_idx(AccCpuSerial, 0))
-        with observe(stats):
+        with telemetry.collect() as t:
             with pytest.raises(KernelError):
                 q.enqueue(_task(AccCpuSerial, _failing))
-        assert stats.launches == 1
+        assert t.total("repro_launches_total") == 1
 
 
 class TestPoolStaysUsable:
@@ -85,10 +84,10 @@ class TestPoolStaysUsable:
                 with pytest.raises(ValueError, match="observer boom"):
                     q.enqueue(task)
         # Observer gone: the same pool must run launches to completion.
-        with observe(CountingObserver()) as stats:
+        with telemetry.collect() as t:
             q.enqueue(task)
-        assert stats.launches == 1
-        assert stats.blocks == 32
+        assert t.total("repro_launches_total") == 1
+        assert t.total("repro_block_seconds") == 32
 
     def test_pool_survives_kernel_failure_with_raising_observer(self):
         dev = get_dev_by_idx(AccCpuOmp2Blocks, 0)
@@ -96,7 +95,7 @@ class TestPoolStaysUsable:
         with observe(_RaisingEndObserver()):
             with pytest.raises(KernelError, match="_failing"):
                 q.enqueue(_task(AccCpuOmp2Blocks, _failing, blocks=16))
-        with observe(CountingObserver()) as stats:
+        with telemetry.collect() as t:
             q.enqueue(_task(AccCpuOmp2Blocks, _noop, blocks=16))
-        assert stats.launches == 1
-        assert stats.blocks == 16
+        assert t.total("repro_launches_total") == 1
+        assert t.total("repro_block_seconds") == 16

@@ -10,16 +10,13 @@ from repro.sanitize.cli import main as sanitize_main
 
 @pytest.fixture(autouse=True)
 def fresh_compile_state(monkeypatch):
-    from repro.compile import reset_compile_stats
     from repro.runtime import clear_plan_cache
 
     monkeypatch.delenv("REPRO_SCHEDULER", raising=False)
     monkeypatch.delenv("REPRO_COMPILE_CROSSCHECK", raising=False)
     clear_plan_cache()
-    reset_compile_stats()
     yield
     clear_plan_cache()
-    reset_compile_stats()
 
 
 class TestSweep:

@@ -117,22 +117,33 @@ class TestObserverIntegration:
         assert seen[0].kernel == "RacyKernel" and seen[0].findings
 
     def test_timeline_records_sanitize_event(self):
-        from repro.trace.timeline import trace_execution
+        from repro import telemetry
 
-        with trace_execution() as tl:
+        with telemetry.collect() as t:
             with enabled():
                 _launch(RacyKernel())
-        ev = [e for e in tl.events if e.kind == "sanitize"]
+        ev = [e for e in t.events if e.cat == "sanitize" and e.ph == "i"]
         assert len(ev) == 1
-        assert "data-race" in ev[0].detail
+        assert ev[0].args["kernel"] == "RacyKernel"
+        assert ev[0].args["findings"] >= 1
+        assert t.total("repro_sanitizer_findings_total") == (
+            ev[0].args["findings"]
+        )
 
     def test_launch_begin_end_still_fire_when_sanitized(self):
-        from repro import CountingObserver
+        calls = []
 
-        with observe(CountingObserver()) as stats:
+        class Obs(ExecutionObserver):
+            def on_launch_begin(self, plan, task, device):
+                calls.append("begin")
+
+            def on_launch_end(self, plan, task, device):
+                calls.append("end")
+
+        with observe(Obs()):
             with enabled():
                 _launch(CleanKernel())
-        assert stats.launches == 1
+        assert calls == ["begin", "end"]
 
 
 class TestCli:

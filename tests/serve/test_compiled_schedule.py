@@ -73,13 +73,9 @@ def test_workload_bit_identical_under_compiled(
         assert compiled[key].tobytes() == baseline[key].tobytes(), key
 
 
-def test_compiled_service_replays_not_retraces(monkeypatch, rng):
-    from repro.compile import compile_stats, reset_compile_stats
-
-    _under_schedule(monkeypatch, "compiled")
-    reset_compile_stats()
-    x = rng.standard_normal(300)
-    y = rng.standard_normal(300)
+def _serve_axpy(x, y, requests):
+    """``requests`` solo AXPY launches, one after another, on a pooled
+    lane."""
     cfg = ServeConfig(
         batch_window=0.0, drain_timeout=30.0, lanes=POOLED_LANES
     )
@@ -88,13 +84,43 @@ def test_compiled_service_replays_not_retraces(monkeypatch, rng):
             gw.launch(
                 "axpy", params={"alpha": 2.0}, arrays={"x": x, "y": y}
             ).result(timeout=30)
-            for _ in range(4)
+            for _ in range(requests)
         ]
         gw.shutdown(release_pools=False)
+    return results
+
+
+def test_compiled_service_replays_not_retraces(monkeypatch, rng):
+    from repro.compile import compile_stats
+
+    _under_schedule(monkeypatch, "compiled")
+    before = compile_stats()
+    x = rng.standard_normal(300)
+    y = rng.standard_normal(300)
+    results = _serve_axpy(x, y, 4)
     _under_schedule(monkeypatch, None)
     expected = 2.0 * x + y
     for r in results:
         assert np.array_equal(r.arrays["y"], expected)
-    stats = compile_stats()
-    assert stats["compiled_launches"] >= 4
-    assert stats["retraces"] == 0
+    after = compile_stats()
+    delta = {k: after[k] - before[k] for k in ("traces", "cache_hits",
+                                               "retraces",
+                                               "compiled_launches")}
+    # One trace for the one shape; every later request replays it.
+    assert delta == {"traces": 1, "cache_hits": 3, "retraces": 0,
+                     "compiled_launches": 4}, delta
+
+
+def test_served_plan_cache_stays_warm(rng):
+    from repro.runtime import plan_cache_info
+
+    x = rng.standard_normal(300)
+    y = rng.standard_normal(300)
+    before = plan_cache_info()
+    results = _serve_axpy(x, y, 8)
+    after = plan_cache_info()
+    for r in results:
+        assert np.array_equal(r.arrays["y"], 2.0 * x + y)
+    # The first request may build the plan; the rest must reuse it.
+    assert after["misses"] - before["misses"] <= 1, (before, after)
+    assert after["hits"] - before["hits"] >= 7, (before, after)

@@ -1,4 +1,4 @@
-"""TimelineObserver simulated-clock capture and sanitize detail."""
+"""The collector's launch timeline: modeled time and sanitize detail."""
 
 import numpy as np
 
@@ -10,10 +10,9 @@ from repro import (
     create_task_kernel,
     get_dev_by_idx,
     mem,
-    observe,
+    telemetry,
 )
 from repro.kernels.axpy import AxpyKernel
-from repro.trace import TimelineObserver, trace_execution
 
 
 def _axpy_task(dev, n=32):
@@ -33,40 +32,14 @@ class TestSimTimeCapture:
         clear_plan_cache()
         dev = get_dev_by_idx(AccGpuCudaSim, 0)
         q, task = _axpy_task(dev)
-        with trace_execution() as tl:
+        with telemetry.collect() as t:
             q.enqueue(task)
-        begin = next(e for e in tl.events if e.kind == "launch_begin")
-        end = next(e for e in tl.events if e.kind == "launch_end")
-        assert begin.sim_time_fs is not None
-        assert end.sim_time_fs is not None
+        launch = next(e for e in t.events if e.cat == "launch")
         # AxpyKernel describes its cost, so the modeled clock advanced.
-        assert end.sim_time_fs > begin.sim_time_fs
-
-    def test_copy_and_drain_events_carry_sim_time(self):
-        dev = get_dev_by_idx(AccGpuCudaSim, 0)
-        q = QueueBlocking(dev)
-        buf = mem.alloc(dev, 8)
-        with trace_execution() as tl:
-            mem.memset(q, buf, 0.0)
-        copy_ev = next(e for e in tl.events if e.kind == "copy")
-        assert copy_ev.sim_time_fs is not None
-        buf.free()
-
-    def test_record_sim_time_opt_out(self):
-        dev = get_dev_by_idx(AccGpuCudaSim, 0)
-        q, task = _axpy_task(dev)
-        with observe(TimelineObserver(record_sim_time=False)) as tl:
-            q.enqueue(task)
-        assert all(e.sim_time_fs is None for e in tl.events)
-
-    def test_block_events_have_no_device(self):
-        dev = get_dev_by_idx(AccGpuCudaSim, 0)
-        q, task = _axpy_task(dev)
-        with trace_execution(record_blocks=True) as tl:
-            q.enqueue(task)
-        blocks = [e for e in tl.events if e.kind == "block"]
-        assert blocks
-        assert all(e.sim_time_fs is None for e in blocks)
+        assert launch.args["modeled_s"] > 0.0
+        assert t.total(
+            "repro_launch_modeled_seconds_total", backend="AccGpuCudaSim"
+        ) == launch.args["modeled_s"]
 
 
 class TestSanitizeDetail:
@@ -83,9 +56,11 @@ class TestSanitizeDetail:
             AccCpuSerial, WorkDivMembers.make(n, 1, 1),
             AxpyKernel(), n, 1.0, x, x,
         )
-        with observe(TimelineObserver()) as tl:
+        with telemetry.collect() as t:
             report = sanitize_task(task, dev)
-        ev = next(e for e in tl.events if e.kind == "sanitize")
-        assert f"findings={len(report.launches[0].findings)}" in ev.detail
-        assert ev.detail.startswith("AxpyKernel:")
+        ev = next(
+            e for e in t.events if e.cat == "sanitize" and e.ph == "i"
+        )
+        assert ev.args["findings"] == len(report.launches[0].findings)
+        assert ev.args["kernel"] == "AxpyKernel"
         x.free()

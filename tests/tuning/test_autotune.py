@@ -13,8 +13,8 @@ from repro import (
     divide_work,
     fn_acc,
     get_dev_by_idx,
+    telemetry,
 )
-from repro.bench import launch_stats
 from repro.core.workdiv import MappingStrategy, validate_work_div
 from repro.perfmodel import KernelCharacteristics
 from repro.runtime import clear_plan_cache, get_plan
@@ -92,11 +92,11 @@ class TestAutotune:
         dev, args = _args(acc)
         k = TunableKernel()
         first = autotune(k, acc, N, args, device=dev, strategy="random", budget=4)
-        with launch_stats() as stats:
+        with telemetry.collect() as t:
             second = autotune(k, acc, N, args, device=dev)
         assert second.from_cache
         assert second.launches == 0
-        assert stats.launches == 0
+        assert t.total("repro_launches_total") == 0
         assert second.work_div == first.work_div
         assert second.strategy == "cache"
 

@@ -10,8 +10,8 @@ from repro import (
     divide_work,
     fn_acc,
     get_dev_by_idx,
+    telemetry,
 )
-from repro.bench import launch_stats
 from repro.core.workdiv import MappingStrategy
 from repro.perfmodel import KernelCharacteristics
 from repro.tuning import measure_division, measure_task
@@ -91,9 +91,9 @@ class TestMeasureTask:
         acc = AccCpuSerial
         dev = get_dev_by_idx(acc)
         task = create_task_kernel(acc, _wd(acc), _ModeledKernel())
-        with launch_stats() as stats:
+        with telemetry.collect() as t:
             mt = measure_task(task, dev)
-        assert stats.launches == mt.launches
+        assert t.total("repro_launches_total") == mt.launches
 
     def test_warmup_must_be_positive(self):
         acc = AccCpuSerial
