@@ -9,8 +9,10 @@ gap without leaving pure numpy:
 
 * :mod:`~repro.compile.tracer` runs the kernel **once** per
   (kernel, work-division, argument-shape) configuration with batched
-  symbolic thread coordinates (reusing the ``trace_get_idx`` hook the
-  PTX tracer introduced) and records a lane dataflow;
+  symbolic thread coordinates (through the ``trace_get_idx`` hook of
+  :func:`~repro.core.index.get_idx`) and records a lane dataflow — the
+  one symbolic tracer, whose IR :mod:`repro.trace` also prints as the
+  Fig. 4 PTX and SSE2 listings;
 * :mod:`~repro.compile.exprs` is that dataflow's IR and evaluator;
 * :mod:`~repro.compile.replay` replays the whole grid as fused numpy
   array operations — AXPY becomes ``y[:n] = a * x[:n] + y[:n]`` — with

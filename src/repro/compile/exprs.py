@@ -1,10 +1,10 @@
 """Lane-expression IR for trace-compiled kernels.
 
-Where :mod:`repro.trace.ir` records a PTX-flavoured *instruction
-stream* for inspection, this module records a *dataflow* over batched
-thread coordinates: one expression node per operation the kernel
-performed while being traced, evaluated later over every lane (thread)
-of the grid at once with numpy array operations.
+This module records a *dataflow* over batched thread coordinates: one
+expression node per operation the kernel performed while being traced,
+evaluated later over every lane (thread) of the grid at once with numpy
+array operations, and printed by :mod:`repro.trace` as the Fig. 4
+listings.
 
 The node set is deliberately tiny:
 

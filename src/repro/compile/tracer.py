@@ -1,12 +1,13 @@
 """The compile tracer: run a kernel once with batched symbolic threads.
 
 A :class:`CompileAcc` stands in for the accelerator while the kernel
-executes a single time.  Index queries (via the same ``trace_get_idx``
-hook the PTX tracer uses) return :class:`SymValue` operands carrying a
+executes a single time.  Index queries (the ``get_idx`` hook
+``trace_get_idx``) return :class:`SymValue` operands carrying a
 :class:`~repro.compile.exprs.LaneIndex` expression instead of a number;
 arithmetic, comparisons and numpy ufuncs on them grow a dataflow graph;
 array accesses record :class:`Load`/:class:`Store` nodes.  The recorded
-trace replays the *whole grid* as fused numpy operations.
+trace replays the *whole grid* as fused numpy operations (and
+:mod:`repro.trace` prints it as the Fig. 4 listings).
 
 What is representable, and what falls back:
 
@@ -40,7 +41,6 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..core.index import Origin, Unit
-from ..core.vec import Vec
 from ..math.ops import DEFAULT_MATH
 from .exprs import (
     Arg,
@@ -60,6 +60,7 @@ __all__ = [
     "SymValue",
     "TraceState",
     "trace_kernel",
+    "run_trace",
     "TraceResult",
     "MAX_TRACE_NODES",
     "MAX_MASK_GUARDS",
@@ -91,9 +92,8 @@ class CompileFallback(BaseException):
 class TraceState:
     """Shared mutable state of one kernel trace."""
 
-    def __init__(self, work_div, args: tuple):
+    def __init__(self, work_div):
         self.work_div = work_div
-        self.args = args
         self.nodes = 0
         #: Canonical bounds guards, in trace order: (op, lane, bound).
         self.masks: List[Tuple[str, Expr, Expr]] = []
@@ -164,21 +164,23 @@ class SymValue:
 
     # -- helpers --------------------------------------------------------
 
-    def _coerce(self, other) -> "SymValue":
+    @staticmethod
+    def _coerce(st: TraceState, other) -> "SymValue":
+        """``other`` as a traced operand: scalars become :class:`Const`."""
         if isinstance(other, SymValue):
             return other
         if isinstance(other, (bool, int, float, np.bool_, np.integer,
                               np.floating)):
-            self.st.count()
-            return SymValue(self.st, Const(other), value=other, lane=False)
+            st.count()
+            return SymValue(st, Const(other), value=other, lane=False)
         raise CompileFallback(
             "unsupported-op",
             f"operand of unsupported type {type(other).__name__!r} in "
-            f"traced arithmetic",
+            f"traced arithmetic or store",
         )
 
     def _apply(self, fn, *operands, cmp=None) -> "SymValue":
-        syms = [self._coerce(o) for o in operands]
+        syms = [self._coerce(self.st, o) for o in operands]
         self.st.count()
         expr = Ufunc(fn, tuple(s.expr for s in syms))
         lane = any(s.lane for s in syms)
@@ -267,7 +269,7 @@ class SymValue:
     # -- comparisons ----------------------------------------------------
 
     def _compare(self, fn, op, other):
-        o = self._coerce(other)
+        o = self._coerce(self.st, other)
         return self._apply(fn, self, o, cmp=(op, self, o))
 
     def __lt__(self, other):
@@ -480,20 +482,8 @@ class SymArrayArg:
             return SymValue(self.st, node, value=value, lane=False)
         return SymValue(self.st, node, lane=True)
 
-    def _coerce_value(self, value) -> SymValue:
-        if isinstance(value, SymValue):
-            return value
-        if isinstance(value, (bool, int, float, np.bool_, np.integer,
-                              np.floating)):
-            self.st.count()
-            return SymValue(self.st, Const(value), value=value, lane=False)
-        raise CompileFallback(
-            "unsupported-op",
-            f"store of unsupported value type {type(value).__name__!r}",
-        )
-
     def __setitem__(self, idx, value) -> None:
-        val = self._coerce_value(value)
+        val = SymValue._coerce(self.st, value)
         if isinstance(idx, _SymSpan):
             self.st.count()
             self.st.add_store(SpanStore(
@@ -558,11 +548,6 @@ class CompileAcc:
     @property
     def warp_size(self) -> int:
         return self.props.warp_size
-
-    def trace_get_work_div(self, origin: Origin, unit: Unit) -> Vec:
-        from ..core.index import get_work_div
-
-        return get_work_div(self.st.work_div, origin, unit)
 
     # -- index queries (symbolic) --------------------------------------
 
@@ -755,9 +740,14 @@ def trace_kernel(kernel, work_div, props, args: tuple) -> TraceResult:
     do not support whatever the kernel attempted, and interpretation
     (where the same code runs on real numbers) remains authoritative.
     """
-    st = TraceState(work_div, args)
-    sym_args = _make_sym_args(st, args)
-    acc = CompileAcc(st, props)
+    st = TraceState(work_div)
+    return run_trace(kernel, CompileAcc(st, props), _make_sym_args(st, args))
+
+
+def run_trace(kernel, acc: CompileAcc, sym_args: tuple) -> TraceResult:
+    """Run ``kernel`` once under ``acc`` (a :class:`CompileAcc`, or the
+    listing subclass of :mod:`repro.trace`) and collect the trace."""
+    st = acc.st
     try:
         kernel(acc, *sym_args)
     except CompileFallback:
@@ -768,11 +758,6 @@ def trace_kernel(kernel, work_div, props, args: tuple) -> TraceResult:
             f"kernel body raised {type(exc).__name__} under the compile "
             f"tracer: {exc}",
         ) from exc
-    if not st.stores:
-        # A kernel with no observable writes compiles to a no-op —
-        # legal (the launch-overhead bench's empty kernel) but worth
-        # distinguishing from a lost trace in the result.
-        pass
     return TraceResult(
         stores=tuple(st.stores),
         masks=tuple(st.masks),

@@ -81,9 +81,10 @@ def get_idx(acc: "Accelerator", origin: Origin, unit: Unit) -> Vec:
     ``Block``    ``Elems``    first element of this thread within block
     ===========  =========  ==========================================
 
-    Tracing accelerators (:mod:`repro.trace`) intercept the query via a
-    ``trace_get_idx`` hook, so the *same kernel source* can be executed
-    and symbolically compiled.
+    The compile tracer (:mod:`repro.compile.tracer`) intercepts the
+    query via a ``trace_get_idx`` hook, so the *same kernel source* can
+    be executed, trace-vectorized and printed as generated code
+    (:mod:`repro.trace`).
     """
     hook = getattr(acc, "trace_get_idx", None)
     if hook is not None:
@@ -123,9 +124,6 @@ def get_work_div(acc_or_workdiv, origin: Origin, unit: Unit) -> Vec:
     ``Thread``   ``Elems``    elements per thread
     ===========  =========  ==========================================
     """
-    hook = getattr(acc_or_workdiv, "trace_get_work_div", None)
-    if hook is not None:
-        return hook(origin, unit)
     wd = getattr(acc_or_workdiv, "work_div", acc_or_workdiv)
     if origin is Origin.GRID:
         if unit is Unit.BLOCKS:

@@ -6,7 +6,8 @@
   comparison: one element per thread, in-bounds guard, written so the
   traced instruction stream matches the native CUDA one.
 * :func:`axpy_cuda_native` — the native CUDA kernel (written against the
-  :mod:`repro.trace.native_cuda` surface, trace-only).
+  CUDA-C index surface of :func:`repro.trace.trace_cuda_kernel`,
+  trace-only).
 * :class:`AxpyElementsKernel` — the element-level version: each thread
   owns a span and updates it with one vector operation; the form the
   paper's Sec. 4.1 discusses for CPU SIMD (packed ``movupd``/``mulpd``

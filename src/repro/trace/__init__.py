@@ -1,37 +1,27 @@
-"""Symbolic kernel tracing and the PTX-like mini-IR (paper Fig. 4)."""
+"""Generated-code listings of kernels (paper Fig. 4): PTX and x86/SSE2
+printers over the lane dataflow of the one symbolic tracer,
+:mod:`repro.compile.tracer` (imported lazily), and a PTX comparator."""
 
-from .acc import ArgSpec, TraceAcc, trace_alpaka_kernel
 from .compare import ComparisonResult, compare_streams, normalize
-from .cpu_asm import (
-    CpuArray,
-    CpuTraceContext,
+from .ir import Instruction, IRBuilder
+from .ptx import ArgSpec, trace_alpaka_kernel, trace_cuda_kernel
+from .x86 import (
+    AsmListing,
     classify_fp_instructions,
     trace_cpu_kernel_scalar,
     trace_cpu_kernel_spans,
 )
-from .ir import Instruction, IRBuilder
-from .native_cuda import CudaSurface, trace_cuda_kernel
-from .symbolic import Product, SymArray, SymBool, SymFloat, SymInt, TraceContext
 
 __all__ = [
     "IRBuilder",
     "Instruction",
-    "TraceContext",
-    "SymInt",
-    "SymFloat",
-    "SymBool",
-    "SymArray",
-    "Product",
-    "TraceAcc",
     "ArgSpec",
     "trace_alpaka_kernel",
-    "CudaSurface",
     "trace_cuda_kernel",
     "ComparisonResult",
     "compare_streams",
     "normalize",
-    "CpuTraceContext",
-    "CpuArray",
+    "AsmListing",
     "trace_cpu_kernel_scalar",
     "trace_cpu_kernel_spans",
     "classify_fp_instructions",

@@ -46,7 +46,7 @@ def _canon_operand(
         return reg_map[operand]
     if _LABEL_RE.fullmatch(operand):
         if operand not in label_map:
-            label_map[operand] = f"L{len(label_map) + 1}"
+            label_map[operand] = f"BB{len(label_map) + 1}"
         return label_map[operand]
     return operand
 
@@ -71,7 +71,7 @@ def normalize(builder: IRBuilder) -> List[Instruction]:
             if ins.predicate
             else None
         )
-        out.append(Instruction(ins.op, dst, srcs, pred, ""))
+        out.append(Instruction(ins.op, dst, srcs, pred))
     return out
 
 

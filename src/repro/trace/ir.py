@@ -2,8 +2,8 @@
 
 Paper Fig. 4 compares the PTX that nvcc generates for the Alpaka and the
 native CUDA DAXPY kernels and finds them identical up to register names
-and one cache modifier.  This module provides the instruction stream the
-reproduction's symbolic tracer emits, formatted like PTX so the
+and one cache modifier.  This module holds the instruction stream the
+PTX printer (:mod:`repro.trace.ptx`) writes, formatted like PTX so the
 comparison in :mod:`repro.trace.compare` reads like the paper's figure.
 
 Register classes follow PTX conventions: ``%r`` (32-bit int), ``%rd``
@@ -12,16 +12,14 @@ Register classes follow PTX conventions: ``%r`` (32-bit int), ``%rd``
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..core.errors import TraceError
 
-__all__ = ["Instruction", "IRBuilder", "RegisterClass"]
+__all__ = ["Instruction", "IRBuilder"]
 
 #: PTX register-class prefixes.
-RegisterClass = str  # "r" | "rd" | "f" | "fd" | "p"
-
 _VALID_CLASSES = ("r", "rd", "f", "fd", "p")
 
 
@@ -31,17 +29,18 @@ class Instruction:
 
     ``op`` is the full dotted PTX opcode (``"fma.rn.f64"``), ``dst`` the
     destination register (or None for stores/branches), ``srcs`` the
-    operand registers/immediates in order.  ``is_memory``/``label``
-    cover the non-register forms (addressed loads/stores, branches).
+    operand registers/immediates in order.  A label is the pseudo-op
+    ``"label"`` with its name as the one source, rendered ``BB1:``.
     """
 
     op: str
     dst: Optional[str]
     srcs: Tuple[str, ...]
     predicate: Optional[str] = None  # e.g. "%p1" for "@%p1 bra ..."
-    comment: str = ""
 
     def to_text(self) -> str:
+        if self.op == "label":
+            return f"{self.srcs[0]}:"
         pred = f"@{self.predicate} " if self.predicate else ""
         if self.op.startswith("st.") and len(self.srcs) == 2:
             # st.global.f64 [%rd7], %fd4;
@@ -55,8 +54,6 @@ class Instruction:
         else:
             ops = ", ".join((self.dst,) + self.srcs)
             body = f"{self.op} {ops};"
-        if self.comment:
-            body += f"  // {self.comment}"
         return pred + body
 
 
@@ -68,20 +65,14 @@ class IRBuilder:
         self.instructions: List[Instruction] = []
         self._counters: Dict[str, int] = {c: 0 for c in _VALID_CLASSES}
         self._labels = 0
-        self.param_registers: List[str] = []
 
     # -- registers -------------------------------------------------------
 
-    def new_reg(self, cls: RegisterClass) -> str:
+    def new_reg(self, cls: str) -> str:
         if cls not in _VALID_CLASSES:
             raise TraceError(f"unknown register class {cls!r}")
         self._counters[cls] += 1
         return f"%{cls}{self._counters[cls]}"
-
-    def new_param(self, cls: RegisterClass) -> str:
-        reg = self.new_reg(cls)
-        self.param_registers.append(reg)
-        return reg
 
     def new_label(self) -> str:
         self._labels += 1
@@ -95,10 +86,9 @@ class IRBuilder:
         dst: Optional[str],
         *srcs: str,
         predicate: Optional[str] = None,
-        comment: str = "",
     ) -> Optional[str]:
         self.instructions.append(
-            Instruction(op, dst, tuple(str(s) for s in srcs), predicate, comment)
+            Instruction(op, dst, tuple(str(s) for s in srcs), predicate)
         )
         return dst
 
@@ -107,17 +97,11 @@ class IRBuilder:
 
     # -- output ---------------------------------------------------------------
 
-    def to_text(self, *, comments: bool = False) -> str:
-        lines = []
-        for ins in self.instructions:
-            if ins.op == "label":
-                lines.append(f"{ins.srcs[0]}:")
-                continue
-            rendered = ins.to_text() if comments else Instruction(
-                ins.op, ins.dst, ins.srcs, ins.predicate, ""
-            ).to_text()
-            lines.append("    " + rendered)
-        return "\n".join(lines)
+    def to_text(self) -> str:
+        return "\n".join(
+            ins.to_text() if ins.op == "label" else "    " + ins.to_text()
+            for ins in self.instructions
+        )
 
     def opcode_stream(self) -> List[str]:
         """Just the opcodes, labels excluded — the coarse signature."""

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import Grid, Threads, fn_acc, get_idx
 from repro.core.errors import TraceError
 from repro.kernels import AxpyElementsKernel, AxpyKernel
 from repro.trace import (
@@ -9,7 +10,14 @@ from repro.trace import (
     trace_cpu_kernel_scalar,
     trace_cpu_kernel_spans,
 )
-from repro.trace.cpu_asm import CpuArray, CpuTraceContext
+
+
+@fn_acc
+def copy_first(acc, n, *ptrs):
+    """``ptrs[-1][i] = ptrs[0][i]``: touches the first and last pointer."""
+    i = get_idx(acc, Grid, Threads)[0]
+    if i < n:
+        ptrs[-1][i] = ptrs[0][i]
 
 
 class TestScalarPath:
@@ -77,17 +85,17 @@ class TestVectorPath:
 
 class TestContext:
     def test_pointer_registers_follow_abi(self):
-        ctx = CpuTraceContext()
-        a = CpuArray(ctx, "a")
-        b = CpuArray(ctx, "b")
-        assert a.base == "%rdi" and b.base == "%rsi"
+        """Pointer arguments take the SysV registers in order."""
+        ctx = trace_cpu_kernel_scalar(copy_first, ["a", "b"], "n")
+        assert ctx.instructions[-3].startswith("movsd (%rdi,")
+        assert ctx.instructions[-2].startswith("movsd %xmm")
+        assert ctx.instructions[-2].endswith("(%rsi,%r11,8)")
 
     def test_pointer_exhaustion(self):
-        ctx = CpuTraceContext()
-        for _ in range(6):
-            CpuArray(ctx, "p")
-        with pytest.raises(TraceError):
-            CpuArray(ctx, "overflow")
+        ctx = trace_cpu_kernel_scalar(copy_first, ["p"] * 6, "n")
+        assert "(%r9,%r11,8)" in ctx.to_text()  # the sixth register
+        with pytest.raises(TraceError, match="pointer argument registers"):
+            trace_cpu_kernel_scalar(copy_first, ["p"] * 7, "n")
 
     def test_text_rendering(self):
         ctx = trace_cpu_kernel_scalar(AxpyKernel(), ["x", "y"], "n", 2.0)

@@ -1,18 +1,34 @@
-"""Symbolic tracing: value types, FMA contraction, guards, arrays."""
+"""PTX listings of small kernels: FMA contraction, guards, addressing."""
 
+import numpy as np
 import pytest
 
+from repro.core import Grid, Threads, fn_acc, get_idx
 from repro.core.errors import TraceError
-from repro.trace import IRBuilder, SymArray, SymFloat, SymInt, TraceContext
+from repro.kernels import AxpyKernel
+from repro.trace import IRBuilder, trace_alpaka_kernel
+
+SPECS = [("int", "n"), ("float", "alpha"), ("array", "x"), ("array", "y")]
 
 
-@pytest.fixture
-def ctx():
-    return TraceContext("t")
+def listing(body, specs=SPECS):
+    """PTX of ``body(i, *args)`` under the canonical ``if i < n:`` guard."""
+
+    @fn_acc
+    def kernel(acc, n, *args):
+        i = get_idx(acc, Grid, Threads)[0]
+        if i < n:
+            body(i, *args)
+
+    return trace_alpaka_kernel(kernel, specs)
 
 
-def opcodes(ctx):
-    return ctx.b.opcode_stream()
+def opcodes(ir):
+    return ir.opcode_stream()
+
+
+def emitted(ir, op):
+    return [ins for ins in ir.instructions if ins.op == op]
 
 
 class TestIRBuilder:
@@ -43,174 +59,233 @@ class TestIRBuilder:
         b.emit("bra", None, "BB1", predicate="%p1")
         assert "@%p1 bra BB1;" in b.to_text()
 
+    def test_label_rendering(self):
+        b = IRBuilder()
+        b.emit_label(b.new_label())
+        assert b.instructions[0].to_text() == "BB1:"
+        assert b.to_text() == "BB1:"
+
 
 class TestIntOps:
-    def test_mul_add_emit(self, ctx):
-        a = ctx.int_value(3)
-        b = ctx.int_value(4)
-        c = a * b + a
-        assert isinstance(c, SymInt)
-        assert "mul.lo.s32" in opcodes(ctx)
-        assert "add.s32" in opcodes(ctx)
+    def test_mul_add_emit(self):
+        def body(i, alpha, x, y):
+            y[i * 3 + i] = alpha
 
-    def test_mad(self, ctx):
-        a, b, c = (ctx.int_value(i) for i in (1, 2, 3))
-        d = a.mad(b, c)
-        assert isinstance(d, SymInt)
-        assert opcodes(ctx)[-1] == "mad.lo.s32"
+        ops = opcodes(listing(body))
+        assert "mul.lo.s32" in ops
+        assert "add.s32" in ops
 
-    def test_literal_coercion(self, ctx):
-        a = ctx.int_value(3)
-        _ = a + 7
-        assert opcodes(ctx).count("mov.u32") >= 2  # both literals
+    def test_mad(self):
+        """The global thread index is one mad.lo.s32 over the special
+        registers, in nvcc's ntid * ctaid + tid operand order."""
+        ir = trace_alpaka_kernel(AxpyKernel(), SPECS)
+        sregs = {ins.srcs[0]: ins.dst for ins in emitted(ir, "mov.u32")}
+        (mad,) = emitted(ir, "mad.lo.s32")
+        assert mad.srcs == (sregs["%ntid.x"], sregs["%ctaid.x"],
+                            sregs["%tid.x"])
+
+    def test_literal_coercion(self):
+        def body(i, alpha, x, y):
+            y[i + 7] = alpha
+
+        ir = listing(body)
+        movs = [ins for ins in emitted(ir, "mov.u32") if ins.srcs == ("7",)]
+        assert len(movs) == 1
+        (add,) = emitted(ir, "add.s32")
+        assert movs[0].dst in add.srcs
 
 
 class TestFmaContraction:
-    def test_product_plus_value_is_fma(self, ctx):
-        a, x, y = (ctx.float_value(v) for v in (2.0, 3.0, 4.0))
-        r = a * x + y
-        assert isinstance(r, SymFloat)
-        ops = opcodes(ctx)
+    def test_product_plus_value_is_fma(self):
+        ops = opcodes(trace_alpaka_kernel(AxpyKernel(), SPECS))
         assert "fma.rn.f64" in ops
         assert "mul.f64" not in ops  # contracted, not materialised
 
-    def test_value_plus_product_is_fma(self, ctx):
-        a, x, y = (ctx.float_value(v) for v in (2.0, 3.0, 4.0))
-        r = y + a * x
-        ops = opcodes(ctx)
+    def test_value_plus_product_is_fma(self):
+        def body(i, alpha, x, y):
+            y[i] = y[i] + alpha * x[i]
+
+        ops = opcodes(listing(body))
         assert "fma.rn.f64" in ops and "mul.f64" not in ops
 
-    def test_lone_product_materialises(self, ctx):
-        a, x = ctx.float_value(2.0), ctx.float_value(3.0)
-        p = a * x
-        _ = p / ctx.float_value(1.0)
-        assert "mul.f64" in opcodes(ctx)
+    def test_lone_product_materialises(self):
+        def body(i, alpha, x, y):
+            y[i] = alpha * x[i]
 
-    def test_product_plus_product(self, ctx):
-        a, b, c, d = (ctx.float_value(v) for v in (1, 2, 3, 4))
-        _ = a * b + c * d
-        ops = opcodes(ctx)
+        ops = opcodes(listing(body))
+        assert "mul.f64" in ops and "fma.rn.f64" not in ops
+
+    def test_product_plus_product(self):
+        def body(i, alpha, x, y):
+            y[i] = alpha * x[i] + x[i] * y[i]
+
+        ops = opcodes(listing(body))
         # One product materialises, the other contracts.
         assert ops.count("mul.f64") == 1
         assert ops.count("fma.rn.f64") == 1
 
-    def test_plain_add_sub_div(self, ctx):
-        x, y = ctx.float_value(1.0), ctx.float_value(2.0)
-        _ = x + y
-        _ = x - y
-        _ = x / y
-        ops = opcodes(ctx)
+    def test_plain_add_sub_div(self):
+        def body(i, alpha, x, y):
+            y[i] = (x[i] + alpha) - x[i] / alpha
+
+        ops = opcodes(listing(body))
         assert "add.f64" in ops and "sub.f64" in ops and "div.rn.f64" in ops
 
 
 class TestGuard:
-    def test_if_emits_negated_setp_and_branch(self, ctx):
-        i, n = ctx.int_value(0), ctx.int_value(10)
-        if i < n:
-            taken = True
-        assert taken
-        ops = opcodes(ctx)
-        assert "setp.ge.s32" in ops  # negated lt
-        assert "bra" in ops
+    def test_if_emits_negated_setp_and_branch(self):
+        ir = trace_alpaka_kernel(AxpyKernel(), SPECS)
+        (setp,) = emitted(ir, "setp.ge.s32")  # negated lt
+        (bra,) = emitted(ir, "bra")
+        assert bra.predicate == setp.dst
 
-    def test_exit_label_emitted_at_finish(self, ctx):
-        i, n = ctx.int_value(0), ctx.int_value(10)
-        if i < n:
-            pass
-        b = ctx.finish()
-        assert b.instructions[-1].op == "label"
+    def test_exit_label_emitted_at_finish(self):
+        ir = trace_alpaka_kernel(AxpyKernel(), SPECS)
+        (bra,) = emitted(ir, "bra")
+        assert ir.instructions[-1].op == "label"
+        assert ir.instructions[-1].srcs == bra.srcs
 
     @pytest.mark.parametrize(
         "cond,negated",
-        [("__lt__", "setp.ge.s32"), ("__le__", "setp.gt.s32"),
-         ("__gt__", "setp.le.s32"), ("__ge__", "setp.lt.s32")],
+        [("__lt__", "setp.ge.s32"), ("__le__", "setp.gt.s32")],
     )
-    def test_negation_table(self, ctx, cond, negated):
-        i, n = ctx.int_value(0), ctx.int_value(10)
-        bool(getattr(i, cond)(n))
-        assert negated in opcodes(ctx)
+    def test_negation_table(self, cond, negated):
+        @fn_acc
+        def kernel(acc, n, alpha, x, y):
+            i = get_idx(acc, Grid, Threads)[0]
+            if getattr(i, cond)(n):
+                y[i] = alpha
+
+        assert negated in opcodes(trace_alpaka_kernel(kernel, SPECS))
+
+    @pytest.mark.parametrize("cond", ["__gt__", "__ge__"])
+    def test_inverted_guard_is_divergent(self, cond):
+        """Only ``if i < n`` / ``if i <= n`` is an early-exit guard; an
+        inverted comparison diverges and the listing says so."""
+
+        @fn_acc
+        def kernel(acc, n, alpha, x, y):
+            i = get_idx(acc, Grid, Threads)[0]
+            if getattr(i, cond)(n):
+                y[i] = alpha
+
+        with pytest.raises(TraceError, match="divergent-control-flow"):
+            trace_alpaka_kernel(kernel, SPECS)
 
 
 class TestSymArray:
-    def test_load_sequence(self, ctx):
-        arr = SymArray(ctx, ctx.b.new_param("rd"), "x")
-        i = ctx.int_value(0)
-        v = arr[i]
-        assert isinstance(v, SymFloat)
-        ops = opcodes(ctx)
-        for op in ("cvta.to.global.u64", "mul.wide.s32", "add.s64", "ld.global.f64"):
-            assert op in ops
+    def test_load_sequence(self):
+        def body(i, alpha, x, y):
+            y[i] = x[i]
 
-    def test_const_array_uses_nc(self, ctx):
-        arr = SymArray(ctx, ctx.b.new_param("rd"), "x", const=True)
-        _ = arr[ctx.int_value(0)]
-        assert "ld.global.nc.f64" in opcodes(ctx)
+        ops = opcodes(listing(body))
+        seq = ("mul.wide.s32", "cvta.to.global.u64", "add.s64",
+               "ld.global.f64")
+        assert [ops.index(op) for op in seq] == sorted(
+            ops.index(op) for op in seq)
 
-    def test_offset_shared_between_arrays(self, ctx):
+    def test_const_array_uses_nc(self):
+        specs = [("int", "n"), ("float", "alpha"), ("const_array", "x"),
+                 ("array", "y")]
+        ops = opcodes(trace_alpaka_kernel(AxpyKernel(), specs))
+        assert ops.count("ld.global.nc.f64") == 1  # x only
+        assert ops.count("ld.global.f64") == 1  # y stays coherent
+
+    def test_offset_shared_between_arrays(self):
         """The index*8 offset is computed once (as nvcc does)."""
-        x = SymArray(ctx, ctx.b.new_param("rd"), "x")
-        y = SymArray(ctx, ctx.b.new_param("rd"), "y")
-        i = ctx.int_value(0)
-        _ = x[i]
-        _ = y[i]
-        assert opcodes(ctx).count("mul.wide.s32") == 1
+        ops = opcodes(trace_alpaka_kernel(AxpyKernel(), SPECS))
+        assert ops.count("mul.wide.s32") == 1
 
-    def test_offset_not_shared_across_itemsizes(self, ctx):
+    def test_offset_not_shared_across_itemsizes(self):
         """Regression: two buffers of different dtypes indexed by the
         same register must scale by their own itemsize — the offset
-        cache is keyed on (register, itemsize), never register alone."""
-        import numpy as np
+        cache is keyed on (index, itemsize), never index alone."""
 
-        f64 = SymArray(ctx, ctx.b.new_param("rd"), "a", dtype=np.float64)
-        f32 = SymArray(ctx, ctx.b.new_param("rd"), "b", dtype=np.float32)
-        i = ctx.int_value(0)
-        _ = f64[i]
-        _ = f32[i]
-        muls = [
-            ins for ins in ctx.b.instructions if ins.op == "mul.wide.s32"
-        ]
+        def body(i, a, b):
+            a[i] = a[i] + 1.0
+            b[i] = b[i] + 1.0
+
+        specs = [("int", "n"), ("array", "a", np.float64),
+                 ("array", "b", np.float32)]
+        muls = emitted(listing(body, specs), "mul.wide.s32")
         assert len(muls) == 2  # one widened product per itemsize
         # Distinct byte-offset registers, scaled by 8 and 4 respectively.
-        dsts = {m.dst for m in muls}
-        assert len(dsts) == 2
-        scales = {m.srcs[-1] for m in muls}
-        assert scales == {"8", "4"}
+        assert len({m.dst for m in muls}) == 2
+        assert {m.srcs[-1] for m in muls} == {"8", "4"}
 
-    def test_dtype_selects_load_store_suffix(self, ctx):
+    def test_dtype_selects_load_store_suffix(self):
         """A float32 buffer loads/stores through .f32, an int32 buffer
         through .s32 — never the hardcoded .f64 path."""
-        import numpy as np
 
-        f32 = SymArray(ctx, ctx.b.new_param("rd"), "v", dtype=np.float32)
-        i32 = SymArray(ctx, ctx.b.new_param("rd"), "c", dtype=np.int32)
-        i = ctx.int_value(0)
-        v = f32[i]
-        f32[i] = v
-        c = i32[i]
-        i32[i] = c
-        ops = opcodes(ctx)
+        def body(i, v, c):
+            v[i] = v[i] * 2.0
+            c[i] = c[i] + 1
+
+        specs = [("int", "n"), ("array", "v", np.float32),
+                 ("array", "c", np.int32)]
+        ops = opcodes(listing(body, specs))
         assert "ld.global.f32" in ops and "st.global.f32" in ops
+        assert "mul.f32" in ops and "add.s32" in ops
         assert "ld.global.s32" in ops and "st.global.s32" in ops
         assert "ld.global.f64" not in ops and "st.global.f64" not in ops
 
-    def test_address_reused_for_store(self, ctx):
-        y = SymArray(ctx, ctx.b.new_param("rd"), "y")
-        i = ctx.int_value(0)
-        v = y[i]
-        y[i] = v
-        ops = opcodes(ctx)
-        assert ops.count("add.s64") == 1  # same address register
-        assert "st.global.f64" in ops
+    def test_address_reused_for_store(self):
+        ir = trace_alpaka_kernel(AxpyKernel(), SPECS)
+        ops = opcodes(ir)
+        assert ops.count("add.s64") == 2  # one address per array
+        ld_x, ld_y = emitted(ir, "ld.global.f64")
+        (st,) = emitted(ir, "st.global.f64")
+        assert st.srcs[0] == ld_y.srcs[0]  # the store reuses y[i]'s address
 
-    def test_store_materialises_product(self, ctx):
-        y = SymArray(ctx, ctx.b.new_param("rd"), "y")
-        a, b = ctx.float_value(2.0), ctx.float_value(3.0)
-        y[ctx.int_value(0)] = a * b
-        assert "mul.f64" in opcodes(ctx)
+    def test_store_materialises_product(self):
+        def body(i, alpha, x, y):
+            y[i] = alpha * x[i]
 
-    def test_concrete_index_rejected(self, ctx):
-        x = SymArray(ctx, ctx.b.new_param("rd"), "x")
+        ir = listing(body)
+        (mul,) = emitted(ir, "mul.f64")
+        (st,) = emitted(ir, "st.global.f64")
+        assert st.srcs[1] == mul.dst
+
+    def test_concrete_index_prints_immediate_offset(self):
+        """A literal index needs no mul.wide: its byte offset is an
+        immediate of the address add."""
+
+        def body(i, alpha, x, y):
+            y[0] = x[3]
+
+        ir = listing(body)
+        assert "mul.wide.s32" not in opcodes(ir)
+        assert {ins.srcs[-1] for ins in emitted(ir, "add.s64")} == {"24", "0"}
+
+
+class TestListingErrors:
+    def test_uniform_branch_on_parameter_rejected(self):
+        """A listing has no value for ``alpha``, so it cannot pick a path."""
+
+        @fn_acc
+        def kernel(acc, n, alpha, x, y):
+            i = get_idx(acc, Grid, Threads)[0]
+            if alpha != 0.0:
+                y[i] = alpha
+
+        with pytest.raises(TraceError, match="branches on a parameter"):
+            trace_alpaka_kernel(kernel, SPECS)
+
+    def test_tracer_fallback_surfaces_as_trace_error(self):
+        """A classified tracer fallback (a BaseException) never escapes
+        a listing function: it becomes a TraceError naming the reason."""
+
+        @fn_acc
+        def kernel(acc, n, alpha, x, y):
+            acc.atomic_add(y, 0, alpha)
+
+        with pytest.raises(TraceError, match="atomics"):
+            trace_alpaka_kernel(kernel, SPECS)
+
+    def test_unknown_spec_kind(self):
+        with pytest.raises(TraceError, match="unknown arg spec kind"):
+            trace_alpaka_kernel(AxpyKernel(), [("pointer", "x")])
+
+    def test_dimension_range(self):
         with pytest.raises(TraceError):
-            _ = x[3]
-        with pytest.raises(TraceError):
-            x[3] = 1.0
+            trace_alpaka_kernel(AxpyKernel(), SPECS, dim=4)
