@@ -36,8 +36,21 @@ from ..rand.philox import PhiloxRng
 __all__ = ["GridContext", "BlockContext", "Accelerator", "AcceleratorType"]
 
 
+#: Guards the first-use construction of every grid's atomic domain and
+#: every block's shared-memory table.
+_first_use_lock = threading.Lock()
+
+
 class GridContext:
-    """State shared by every thread of one kernel launch."""
+    """State shared by every thread of one kernel launch.
+
+    The grid-scope :class:`~repro.atomic.ops.AtomicDomain` (64 striped
+    locks) is built on the first atomic call, so launches of kernels
+    without atomics never pay for it.  Assigning ``atomics`` installs a
+    different domain (the process pool's process-shared one).
+    """
+
+    _atomics: Optional[AtomicDomain] = None
 
     def __init__(
         self,
@@ -53,16 +66,39 @@ class GridContext:
         self.props = props
         self.args = args
         self.shared_mem_bytes = shared_mem_bytes
-        self.atomics = AtomicDomain()
         #: Sanitizer hook (:class:`repro.sanitize.monitor.SanitizeMonitor`)
         #: or None.  When set, the engine announces thread begin/end,
         #: barrier passage and shared allocations to it.
         self.monitor = monitor
 
+    @property
+    def atomics(self) -> AtomicDomain:
+        domain = self._atomics
+        if domain is None:
+            with _first_use_lock:
+                domain = self._atomics
+                if domain is None:
+                    domain = self._atomics = AtomicDomain()
+        return domain
+
+    @atomics.setter
+    def atomics(self, domain: AtomicDomain) -> None:
+        self._atomics = domain
+
 
 class BlockContext:
     """State shared by the threads of one block: shared memory and the
-    synchronisation primitive the engine installed."""
+    synchronisation primitive the engine installed.
+
+    The shared-memory table and its lock are created by the first
+    :meth:`shared_alloc`, so blocks of kernels without shared memory
+    allocate neither.
+    """
+
+    __slots__ = (
+        "grid", "block_idx", "_sync", "_shared", "_shared_bytes",
+        "_shared_lock",
+    )
 
     def __init__(
         self,
@@ -73,9 +109,9 @@ class BlockContext:
         self.grid = grid
         self.block_idx = block_idx
         self._sync = sync
-        self._shared: Dict[str, np.ndarray] = {}
+        self._shared: Optional[Dict[str, np.ndarray]] = None
         self._shared_bytes = 0
-        self._shared_lock = threading.Lock()
+        self._shared_lock: Optional[threading.Lock] = None
 
     def sync(self) -> None:
         monitor = self.grid.monitor
@@ -102,7 +138,14 @@ class BlockContext:
         dtypes across threads are a programming error and raise.
         """
         dt = np.dtype(dtype)
-        with self._shared_lock:
+        lock = self._shared_lock
+        if lock is None:
+            with _first_use_lock:
+                if self._shared_lock is None:
+                    self._shared = {}
+                    self._shared_lock = threading.Lock()
+                lock = self._shared_lock
+        with lock:
             existing = self._shared.get(name)
             if existing is not None:
                 if existing.shape != tuple(shape) or existing.dtype != dt:
@@ -133,6 +176,14 @@ class Accelerator:
     """The per-thread kernel-facing facade (``T_Acc acc``)."""
 
     __slots__ = ("_grid", "_block", "block_thread_idx", "math")
+
+    #: Interception hooks of the compile tracer (see
+    #: :func:`repro.core.index.get_idx` and
+    #: :func:`repro.core.element.grid_strided_spans`).  Declared here as
+    #: None so the per-query ``getattr`` finds them at once instead of
+    #: failing a lookup on every index query.
+    trace_get_idx = None
+    trace_elem_spans = None
 
     def __init__(
         self,

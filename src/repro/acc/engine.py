@@ -71,7 +71,7 @@ def run_block_single_thread(
     grid: GridContext, block_idx: Vec, kernel: Callable, args: Tuple
 ) -> None:
     """Execute a one-thread block in the calling thread."""
-    block = BlockContext(grid, block_idx, sync=None)
+    block = BlockContext(grid, block_idx, None)
     thread_idx = Vec.zeros(grid.work_div.dim)
     acc = Accelerator(grid, block, thread_idx)
     monitor = grid.monitor
@@ -196,7 +196,7 @@ def run_block_preemptive(
         return
 
     barrier = _BlockBarrier(n)
-    block = BlockContext(grid, block_idx, sync=barrier.wait)
+    block = BlockContext(grid, block_idx, barrier.wait)
     monitor = grid.monitor
     errors: list = []
     err_lock = threading.Lock()
@@ -346,7 +346,7 @@ def run_block_cooperative(
         return
 
     sched = scheduler_factory(n)
-    block = BlockContext(grid, block_idx, sync=sched.barrier_wait)
+    block = BlockContext(grid, block_idx, sched.barrier_wait)
     monitor = grid.monitor
     errors: list = []
 

@@ -24,13 +24,27 @@ DESIGN.md.
 
 from __future__ import annotations
 
+import threading
 import time
 from typing import Callable
 
-from ..core.errors import ModelError
-from ..dev.device import Device
+import numpy as np
 
-__all__ = ["measure", "advance_modeled_time"]
+from ..core.errors import ModelError
+from ..core.vec import Vec
+from ..dev.device import Device
+from ..mem.buf import Buffer
+from ..mem.view import ViewSubView
+
+__all__ = [
+    "measure",
+    "advance_modeled_time",
+    "arg_signature",
+    "MODELED_TIME_CACHE_MAXSIZE",
+]
+
+#: Serialises insertions into (and evictions from) the per-plan memos.
+_memo_lock = threading.Lock()
 
 
 def measure(
@@ -60,29 +74,47 @@ def measure(
     return best
 
 
-def advance_modeled_time(
-    task, device: Device, backend_kind: str, work_div=None
-) -> float:
-    """Advance ``device``'s simulated clock for ``task``; returns the
-    modeled seconds (0.0 when the kernel does not describe itself).
+#: Bound on memoised modeled-time entries per launch plan (one entry
+#: per argument signature; oldest evicted first).
+MODELED_TIME_CACHE_MAXSIZE = 16
 
-    ``work_div`` overrides ``task.work_div`` — the runtime passes the
-    plan's *resolved* division so tasks carrying a deferred
-    :class:`~repro.core.workdiv.AutoWorkDiv` are modeled with the
-    concrete division they actually executed under.
-    """
-    describe = getattr(task.kernel, "characteristics", None)
-    if describe is None:
-        return 0.0
+#: Scalar argument types whose value can key the modeled-time memo.
+_SCALARS = (int, float, complex, str, bytes, type(None), np.generic)
+
+_MISS = object()
+
+
+def arg_signature(args: tuple):
+    """What ``characteristics()`` may read of ``args``, as a hashable
+    key that keeps no argument alive: scalar values (with their type),
+    ``Vec`` values, and the extent and dtype of buffers, views and
+    arrays.  None when an argument is none of these (the launch is then
+    modeled uncached)."""
+    sig = []
+    for a in args:
+        if isinstance(a, (Buffer, ViewSubView)):
+            sig.append(("buf", a.extent, a.dtype))
+        elif isinstance(a, np.ndarray):
+            sig.append(("arr", a.shape, a.dtype))
+        elif isinstance(a, (_SCALARS, Vec)):
+            sig.append((type(a), a))
+        else:
+            return None
+    return tuple(sig)
+
+
+def _modeled_seconds(describe, task, device, plan):
+    """The modeled seconds of one launch under ``plan``, or None when
+    the kernel's ``characteristics()`` declines to describe it."""
     from ..perfmodel.roofline import predict_time
 
-    wd = work_div if work_div is not None else task.work_div
+    wd = plan.work_div
     chars = describe(wd, *task.args)
     if chars is None:
-        return 0.0
+        return None
     predicted = predict_time(
         device.spec,
-        backend_kind,
+        plan.acc_type.kind,
         wd,
         chars,
         parallel_scope=getattr(task.acc_type, "parallel_scope", "none"),
@@ -90,5 +122,40 @@ def advance_modeled_time(
     seconds = predicted.seconds
     if seconds < 0:
         raise ModelError(f"negative modeled time from {task.kernel!r}")
+    return seconds
+
+
+def advance_modeled_time(task, device: Device, plan) -> float:
+    """Advance ``device``'s simulated clock for one launch of ``task``
+    under ``plan`` (its :class:`~repro.runtime.plan.LaunchPlan`);
+    returns the modeled seconds (0.0 when the kernel does not describe
+    itself).
+
+    The launch is modeled with the plan's *resolved* work division, so
+    tasks carrying a deferred :class:`~repro.core.workdiv.AutoWorkDiv`
+    are modeled with the concrete division they actually executed
+    under.  The prediction is a pure function of the plan and
+    :func:`arg_signature`, so it is memoised on the plan: a warm launch
+    with a known signature reads its seconds instead of re-running
+    ``characteristics()`` and the roofline model.  Arguments without a
+    signature are modeled uncached.
+    """
+    describe = getattr(task.kernel, "characteristics", None)
+    if describe is None:
+        return 0.0
+    key = arg_signature(task.args)
+    if key is None:
+        seconds = _modeled_seconds(describe, task, device, plan)
+    else:
+        memo = plan._modeled
+        seconds = memo.get(key, _MISS)
+        if seconds is _MISS:
+            seconds = _modeled_seconds(describe, task, device, plan)
+            with _memo_lock:
+                while len(memo) >= MODELED_TIME_CACHE_MAXSIZE:
+                    memo.pop(next(iter(memo)))
+                memo[key] = seconds
+    if seconds is None:
+        return 0.0
     device.advance_sim_time(seconds)
     return seconds

@@ -129,18 +129,14 @@ def get_work_div(acc_or_workdiv, origin: Origin, unit: Unit) -> Vec:
         if unit is Unit.BLOCKS:
             return wd.grid_block_extent
         if unit is Unit.THREADS:
-            return wd.grid_block_extent * wd.block_thread_extent
+            return wd.grid_thread_extent
         if unit is Unit.ELEMS:
-            return (
-                wd.grid_block_extent
-                * wd.block_thread_extent
-                * wd.thread_elem_extent
-            )
+            return wd.grid_elem_extent
     elif origin is Origin.BLOCK:
         if unit is Unit.THREADS:
             return wd.block_thread_extent
         if unit is Unit.ELEMS:
-            return wd.block_thread_extent * wd.thread_elem_extent
+            return wd.block_elem_extent
     elif origin is Origin.THREAD:
         if unit is Unit.ELEMS:
             return wd.thread_elem_extent

@@ -94,7 +94,12 @@ class Vec:
 
     @classmethod
     def zeros(cls, dim: int) -> "Vec":
-        return cls.all(dim, 0)
+        """The origin of ``dim`` dimensions; one shared (immutable)
+        instance per dimensionality."""
+        z = _ZEROS.get(dim)
+        if z is None:
+            z = _ZEROS.setdefault(dim, cls.all(dim, 0))
+        return z
 
     @classmethod
     def ones(cls, dim: int) -> "Vec":
@@ -150,8 +155,22 @@ class Vec:
         raise DimensionError(f"cannot combine Vec with {type(other).__name__}")
 
     def _zip(self, other: _IntLike, op: Callable[[int, int], int]) -> "Vec":
-        o = self._coerce(other)
-        return Vec(*(op(a, b) for a, b in zip(self._c, o._c)))
+        c = self._c
+        if type(other) is Vec:
+            oc = other._c
+            if len(oc) != len(c):
+                raise DimensionError(
+                    f"dimensionality mismatch: {len(c)} vs {len(oc)}"
+                )
+        elif type(other) is int:
+            oc = (other,) * len(c)
+        else:
+            oc = self._coerce(other)._c
+        # Both operands are validated int tuples of one dimensionality,
+        # so the result skips the constructor's re-validation.
+        v = object.__new__(Vec)
+        v._c = tuple(map(op, c, oc))
+        return v
 
     def __add__(self, other):
         return self._zip(other, operator.add)
@@ -241,6 +260,10 @@ class Vec:
 
     def reversed(self) -> "Vec":
         return Vec(*reversed(self._c))
+
+
+#: dim -> the shared zero Vec handed out by :meth:`Vec.zeros`.
+_ZEROS: dict = {}
 
 
 def _vec_ctor(dim: int) -> Callable[..., Vec]:

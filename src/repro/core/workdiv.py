@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence, Union
 
 from .errors import InvalidWorkDiv
@@ -71,6 +72,28 @@ class WorkDivMembers:
             if any(c <= 0 for c in v):
                 raise InvalidWorkDiv(f"{name} must be positive, got {v!r}")
 
+    @cached_property
+    def _hash(self) -> int:
+        return hash(
+            (self.grid_block_extent, self.block_thread_extent,
+             self.thread_elem_extent)
+        )
+
+    def __hash__(self) -> int:
+        # Every warm launch hashes its division (plan-cache key, graph
+        # structure key); the value is fixed, so it is computed once.
+        return self._hash
+
+    def __reduce__(self):
+        # Pickle the three extents only, not the cached derived ones, so
+        # a division marshals to the same bytes whichever of them have
+        # been read (the process pool keys payloads on those bytes).
+        return (
+            type(self),
+            (self.grid_block_extent, self.block_thread_extent,
+             self.thread_elem_extent),
+        )
+
     @classmethod
     def make(
         cls,
@@ -102,35 +125,42 @@ class WorkDivMembers:
         )
 
     # -- derived quantities -------------------------------------------
+    #
+    # The division is frozen, so every derived extent is computed on
+    # first use and then read as a plain attribute (``cached_property``
+    # stores into the instance dict, which the frozen ``__setattr__``
+    # does not guard).  Kernels query these on every index call.
 
-    @property
+    @cached_property
     def dim(self) -> int:
         return self.grid_block_extent.dim
 
-    @property
+    @cached_property
     def grid_thread_extent(self) -> Vec:
         return self.grid_block_extent * self.block_thread_extent
 
-    @property
+    @cached_property
     def grid_elem_extent(self) -> Vec:
         """The total n-dim element extent the division covers — the
         problem extent a caller sized the division for (or slightly
         more, when the extents do not divide evenly)."""
-        return (
-            self.grid_block_extent
-            * self.block_thread_extent
-            * self.thread_elem_extent
-        )
+        return self.grid_thread_extent * self.thread_elem_extent
 
-    @property
+    @cached_property
+    def block_elem_extent(self) -> Vec:
+        """Elements per block: threads per block times elements per
+        thread."""
+        return self.block_thread_extent * self.thread_elem_extent
+
+    @cached_property
     def block_count(self) -> int:
         return self.grid_block_extent.prod()
 
-    @property
+    @cached_property
     def block_thread_count(self) -> int:
         return self.block_thread_extent.prod()
 
-    @property
+    @cached_property
     def thread_elem_count(self) -> int:
         return self.thread_elem_extent.prod()
 

@@ -31,22 +31,17 @@ import os
 import threading
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 from ..core.errors import GraphError
 from ..mem.buf import Buffer
 from ..mem.view import ViewSubView
-from ..runtime.instrument import (
-    notify_graph_end,
-    notify_launch_begin,
-    notify_launch_end,
-    observers,
-)
+from ..runtime.instrument import notify_graph_end, observers
 from ..runtime.plan import get_graph_plan
-
-#: Bound on first run() — importing repro.sanitize eagerly here would
-#: drag the whole sanitizer machinery into every graph import.
-_sanitize_state = None
+from ..runtime.scheduler import resolve_scheduler_override
+from ..sanitize import _state as _sanitize_state
+from ..tuning.cache import tuning_generation
 
 __all__ = ["GraphExec", "GraphRunStats", "REPLAY_ENV"]
 
@@ -139,7 +134,10 @@ class GraphExec:
             if any(j >= i for j in d):
                 raise GraphError(f"forward edge {d} on node #{i}")
         self.plan = None  # GraphPlan, bound at first run
-        self.last_stats: Optional[GraphRunStats] = None
+        #: (mode, wall, replayed, node durations) of the last completed
+        #: submission; :attr:`last_stats` turns it into stats on read.
+        self._run_record: Optional[tuple] = None
+        self._stats: Optional[Tuple[tuple, GraphRunStats]] = None
         self.failed = False
         self.error: Optional[BaseException] = None
         self._fail_lock = threading.Lock()
@@ -197,9 +195,6 @@ class GraphExec:
         the same volatile context the per-launch key folds in (tuning
         generation, scheduler override) so a tuning run or an env flip
         misses instead of replaying a stale snapshot."""
-        from ..runtime.scheduler import resolve_scheduler_override
-        from ..tuning.cache import tuning_generation
-
         ctx = (tuning_generation(), resolve_scheduler_override())
         if ctx != self._key_ctx:
             self._key = (
@@ -223,10 +218,6 @@ class GraphExec:
     # -- execution --------------------------------------------------------
 
     def run(self, wait: bool = True) -> "GraphExec":
-        global _sanitize_state
-        if _sanitize_state is None:  # lazy: sanitize is a heavy import
-            from ..sanitize import _state as _sanitize_state
-
         key = self.structure_key()
         self.plan = get_graph_plan(key, lambda: self._build_plan(key))
         replayed = self.plan.served_from_cache and bool(self.plan.replays)
@@ -246,14 +237,40 @@ class GraphExec:
         return self
 
     def _finish(self, mode: str, wall: float, replayed: bool) -> None:
-        nodes = self.nodes
+        # Only the durations are snapshot here; the critical path and
+        # the stats object are built when someone reads last_stats (the
+        # warm replay path must not pay for telemetry nobody reads).
+        record = (mode, wall, replayed, [n.duration for n in self.nodes])
+        self._run_record = record
+        obs = observers()
+        if obs:
+            stats = self._stats_for(record, obs)
+            self._stats = (record, stats)
+        if mode == "queued":  # the inline path never clears _done
+            self._done.set()
+        if obs:
+            notify_graph_end(self, stats)
+
+    @property
+    def last_stats(self) -> Optional[GraphRunStats]:
+        """Stats of the last completed submission (None before one)."""
+        record = self._run_record
+        if record is None:
+            return None
+        cached = self._stats
+        if cached is None or cached[0] is not record:
+            cached = (record, self._stats_for(record, ()))
+            self._stats = cached
+        return cached[1]
+
+    def _stats_for(self, record: tuple, obs) -> GraphRunStats:
+        mode, wall, replayed, durations = record
+        durs = [d or 0.0 for d in durations]
         deps = self.deps
-        durs = [n.duration or 0.0 for n in nodes]
         cp: List[float] = [0.0] * self.node_count
         for i in self.order:
             d = deps[i]
             cp[i] = durs[i] + (max(cp[j] for j in d) if d else 0.0)
-        obs = observers()
         if obs:
             t0 = self._t0
             node_info = tuple(
@@ -265,13 +282,13 @@ class GraphExec:
                     (n.started_at - t0) if n.started_at is not None else 0.0,
                     n.duration or 0.0,
                 )
-                for n in nodes
+                for n in self.nodes
             )
         else:
-            # Nobody is listening: don't pay for per-node records on the
-            # warm replay path (stats totals stay exact either way).
+            # Nobody is listening: no per-node records (stats totals
+            # stay exact either way).
             node_info = ()
-        self.last_stats = GraphRunStats(
+        return GraphRunStats(
             graph_id=self.graph_id,
             mode=mode,
             node_count=self.node_count,
@@ -282,20 +299,16 @@ class GraphExec:
             replayed=replayed,
             node_info=node_info,
         )
-        self._done.set()
-        if obs:
-            notify_graph_end(self, self.last_stats)
 
     # -- inline replay path ----------------------------------------------
 
     def _build_op(self, node, plan, i):
         """Resolve node ``i`` once and return a zero-argument replay
-        closure with everything bound: :func:`repro.runtime.execute_plan`
-        with the plan lookup, grid construction, scheduler resolution and
-        even the attribute fetches hoisted out of the warm loop."""
+        closure: :func:`repro.runtime.execute_plan` with the plan, grid
+        context and scheduler resolved here instead of per replay."""
         if node.kind == "kernel":
             from ..acc.base import GridContext
-            from ..acc.timing import advance_modeled_time
+            from ..runtime import execute_plan
             from ..runtime.plan import get_plan
             from ..runtime.scheduler import scheduler_for
 
@@ -315,50 +328,32 @@ class GraphExec:
                 plan.node_grids[i] = (grid, sched)
             else:
                 grid, sched = plan.node_grids[i]
-            dispatch = sched.dispatch
-            blocks = lp.block_indices
-            note = device.note_kernel_launch
-            kind = lp.acc_type.kind
-            wd = lp.work_div
-
-            def op():  # mirrors execute_plan() with all lookups pre-bound
-                note()
-                lp.launches += 1
-                notify_launch_begin(lp, task, device)
-                try:
-                    dispatch(lp, grid, blocks, task)
-                    advance_modeled_time(task, device, kind, wd)
-                except BaseException:
-                    try:
-                        notify_launch_end(lp, task, device)
-                    except Exception:
-                        pass
-                    raise
-                notify_launch_end(lp, task, device)
-
-            return op
+            return partial(execute_plan, lp, task, device, grid, sched)
         if node.kind == "call":
             return node.task
         task, device = node.task, node.device
         return lambda: task.execute(device)  # copy / memset
 
     def _run_inline(self, replayed: bool) -> None:
+        # Synchronous: the submission is complete when this returns, so
+        # _done (cleared only while a queued run is in flight) stays set.
         plan = self.plan
-        self._done.clear()
         perf = time.perf_counter
         nodes = self.nodes
         ops = plan.node_ops
-        self._t0 = perf()
+        t0 = t = self._t0 = perf()
         try:
             for i in self.order:
                 node = nodes[i]
                 op = ops.get(i)
                 if op is None:
                     op = ops[i] = self._build_op(node, plan, i)
-                start = perf()
-                node.started_at = start
+                node.started_at = t
                 op()
-                node.duration = perf() - start
+                # One clock read per node: its end is the next start.
+                now = perf()
+                node.duration = now - t
+                t = now
                 # Synchronous path: point at the shared fired event
                 # rather than paying a per-node Event.set each replay.
                 node._done_event = _DONE
@@ -367,9 +362,9 @@ class GraphExec:
             self.error = e
             for n in self.nodes:  # unblock any waiter
                 n._done_event = _DONE
-            self._finish("inline", perf() - self._t0, replayed)
+            self._finish("inline", perf() - t0, replayed)
             raise
-        self._finish("inline", perf() - self._t0, replayed)
+        self._finish("inline", t - t0, replayed)
 
     # -- queued (multi-device / sanitized) path ---------------------------
 

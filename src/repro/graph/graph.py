@@ -36,6 +36,7 @@ from ..mem.copy import TaskCopy, TaskMemset
 from ..mem.copy import _validate as _validate_copy
 from ..mem.buf import Buffer
 from ..mem.view import ViewSubView
+from .executor import GraphExec
 from .infer import Access, access_of, classify_args, infer_edges
 from .node import Node
 
@@ -201,8 +202,6 @@ class Graph:
     # -- submission -------------------------------------------------------
 
     def _compile(self):
-        from .executor import GraphExec
-
         exec_ = self._exec
         if exec_ is not None and exec_.still_valid():
             return exec_
@@ -242,28 +241,31 @@ class Graph:
             if self._submitting:
                 raise GraphError("graph is already mid-submit")
             self._submitting = True
+        # Only the check-and-set above needs the lock.
         try:
             exec_.run(wait=wait)
         except BaseException:
-            with self._lock:
-                self._submitting = False
+            self._submitting = False
             raise
-        if wait:
-            with self._lock:
-                self._submitting = False
+        if not exec_._queues:
+            # Complete on return (inline replay, or a queued run already
+            # waited for); a queued run left in flight keeps the graph
+            # busy until wait().
+            self._submitting = False
         return exec_
 
     def wait(self, timeout: Optional[float] = None) -> bool:
-        """Block until the last ``submit(wait=False)`` finished."""
+        """Block until the last ``submit(wait=False)`` finished (at once
+        when it replayed inline: that completes before submit returns)."""
         exec_ = self._exec
         if exec_ is None:
             raise GraphError("wait() before any submit()")
+        in_flight = bool(exec_._queues)
         try:
             done = exec_.wait(timeout=timeout)
         finally:
-            if exec_._done.is_set():
-                with self._lock:
-                    self._submitting = False
+            if in_flight and not exec_._queues:  # this wait drained it
+                self._submitting = False
         return done
 
     @property

@@ -26,6 +26,7 @@ import os
 import numpy as np
 
 from ..core.errors import ExtentError
+from ..core.vec import Vec
 
 __all__ = ["GuardedArray", "guard", "check_index_key", "UNGUARDED_ENV"]
 
@@ -54,6 +55,11 @@ def _check_component(k, key) -> None:
     elif isinstance(k, np.ndarray):
         if k.dtype.kind in "iu" and k.size and int(k.min()) < 0:
             _reject(int(k.min()), key)
+    elif isinstance(k, Vec):
+        # numpy indexes with a Vec as with a list of its components.
+        for c in k:
+            if c < 0:
+                _reject(c, key)
     elif isinstance(k, (list, tuple)):
         arr = np.asarray(k)
         if arr.dtype.kind in "iu" and arr.size and int(arr.min()) < 0:
@@ -63,12 +69,18 @@ def _check_component(k, key) -> None:
 
 def check_index_key(key) -> None:
     """Raise :class:`ExtentError` if ``key`` contains a negative integer
-    index component (scalar, array, or sequence); slices are exempt."""
+    index component (scalar, array, sequence or :class:`Vec`); slices
+    are exempt."""
     if type(key) is tuple:
         for k in key:
-            _check_component(k, key)
-    else:
+            if type(k) is not slice:
+                _check_component(k, key)
+    elif type(key) is not slice:
         _check_component(key, key)
+
+
+_getitem = np.ndarray.__getitem__
+_setitem = np.ndarray.__setitem__
 
 
 class GuardedArray(np.ndarray):
@@ -77,17 +89,32 @@ class GuardedArray(np.ndarray):
 
     Views derived by basic indexing stay guarded (subclass propagation),
     so sub-views and row slices a kernel takes keep the check.
+
+    ``repr()`` and ``str()`` print the plain-ndarray view of the same
+    memory: numpy's printer indexes with negative integers internally,
+    which the guard would otherwise reject.
     """
 
     __slots__ = ()
 
+    # A non-negative plain int, the commonest kernel key, is checked
+    # inline; every other key goes through check_index_key.
+
     def __getitem__(self, key):
-        check_index_key(key)
-        return super().__getitem__(key)
+        if type(key) is not int or key < 0:
+            check_index_key(key)
+        return _getitem(self, key)
 
     def __setitem__(self, key, value) -> None:
-        check_index_key(key)
-        super().__setitem__(key, value)
+        if type(key) is not int or key < 0:
+            check_index_key(key)
+        _setitem(self, key, value)
+
+    def __repr__(self) -> str:
+        return repr(self.view(np.ndarray))
+
+    def __str__(self) -> str:
+        return str(self.view(np.ndarray))
 
 
 def guard(arr: np.ndarray) -> np.ndarray:

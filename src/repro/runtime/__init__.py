@@ -23,6 +23,7 @@ and never touch pool or validation logic themselves.
 
 from __future__ import annotations
 
+from ..sanitize import _state as _sanitize_state
 from .instrument import (
     ExecutionObserver,
     notify_copy,
@@ -118,6 +119,19 @@ __all__ = [
 ]
 
 
+#: Bound on first use: ``repro.acc`` imports this package, so neither
+#: module can load at module scope.  A function-level import would cost
+#: ~1.5 us on every launch.
+_acc_base = None
+_timing = None
+
+
+def _bind_lazy_imports() -> None:
+    global _acc_base, _timing
+    from ..acc import base as _acc_base
+    from ..acc import timing as _timing
+
+
 def launch(task, device) -> "LaunchPlan":
     """Run ``task``'s grid on ``device`` through the runtime pipeline.
 
@@ -130,8 +144,6 @@ def launch(task, device) -> "LaunchPlan":
     instrumented path — same plan, same observers, shadowed arguments —
     and findings land in the session report.
     """
-    from ..sanitize import _state as _sanitize_state
-
     if _sanitize_state.active():
         from ..sanitize.runner import sanitized_launch
 
@@ -148,14 +160,13 @@ def execute_plan(plan, task, device, grid=None, scheduler=None) -> "LaunchPlan":
     replay with the node's cached ``grid`` context and ``scheduler``, so
     a replayed pipeline pays neither plan-cache lookup nor grid-context
     construction per node.  Observer notifications, device launch
-    accounting and modeled-time advance are identical on both paths.
+    accounting, modeled-time advance and the flight-recorder dump on a
+    crash are identical on both paths.
     """
-    from ..acc.timing import advance_modeled_time
-
+    if _timing is None:
+        _bind_lazy_imports()
     if grid is None:
-        from ..acc.base import GridContext
-
-        grid = GridContext(
+        grid = _acc_base.GridContext(
             device,
             plan.work_div,
             plan.props,
@@ -168,7 +179,9 @@ def execute_plan(plan, task, device, grid=None, scheduler=None) -> "LaunchPlan":
     try:
         sched = scheduler or scheduler_for(device, plan.schedule)
         sched.dispatch(plan, grid, plan.block_indices, task)
-        advance_modeled_time(task, device, plan.acc_type.kind, plan.work_div)
+        # Looked up on the module each launch (not bound once) so a
+        # wrapper installed on repro.acc.timing sees every call.
+        _timing.advance_modeled_time(task, device, plan)
     except BaseException as exc:
         # The kernel failure is the error the caller must see: observers
         # are still told the launch ended, but an observer raising from

@@ -72,7 +72,9 @@ class LaunchPlan:
     """Everything about a launch that does not change between launches.
 
     Built once per ``(back-end, kernel, work-div, device, shared-mem)``
-    configuration and reused; holds no per-launch state except counters.
+    configuration and reused; holds no per-launch state except counters
+    and memos of launch-invariant results (chunking, unwrapped
+    arguments, compiled replays, modeled seconds).
     """
 
     acc_type: type
@@ -106,6 +108,10 @@ class LaunchPlan:
     #: trace happens once per (kernel, work-div, arg-shape), not per
     #: launch.
     _compiled: Dict = field(default_factory=dict, repr=False)
+    #: argument signature -> modeled seconds of one launch (None when
+    #: the kernel does not describe itself); owned and bounded by
+    #: :func:`repro.acc.timing.advance_modeled_time`.
+    _modeled: Dict = field(default_factory=dict, repr=False)
 
     def chunks_for(self, workers: int) -> list:
         """``chunk_indices(block_indices, workers)``, memoised.

@@ -157,22 +157,28 @@ def chunk_indices(indices: Sequence[Vec], workers: int) -> List[Sequence[Vec]]:
     return [indices[i : i + size] for i in range(0, n, size)]
 
 
-def _run_block(plan, grid, bidx: Vec, task, observed: bool) -> None:
-    if observed:
-        t0 = time.perf_counter()
-    try:
-        plan.block_runner(grid, bidx, task.kernel, grid.args)
-    except KernelError:
-        raise
-    except BaseException as exc:  # noqa: BLE001 - wrapped for the launcher
-        kname = getattr(task.kernel, "__name__", type(task.kernel).__name__)
-        raise KernelError(
-            f"kernel {kname!r} failed in block {bidx!r}"
-        ) from exc
-    if observed:
-        # Block latency for the telemetry histograms; timed only while
-        # observed so the bare dispatch path never reads the clock.
-        notify_block_end(plan, bidx, time.perf_counter() - t0)
+def _run_blocks(plan, grid, block_indices, task, observed: bool) -> None:
+    """Run ``block_indices`` in order in the calling thread."""
+    runner = plan.block_runner
+    kernel = task.kernel
+    args = grid.args
+    for bidx in block_indices:
+        if observed:
+            t0 = time.perf_counter()
+        try:
+            runner(grid, bidx, kernel, args)
+        except KernelError:
+            raise
+        except BaseException as exc:  # noqa: BLE001 - wrapped for the launcher
+            kname = getattr(kernel, "__name__", type(kernel).__name__)
+            raise KernelError(
+                f"kernel {kname!r} failed in block {bidx!r}"
+            ) from exc
+        if observed:
+            # Block latency for the telemetry histograms; timed only
+            # while observed so the bare dispatch path never reads the
+            # clock.
+            notify_block_end(plan, bidx, time.perf_counter() - t0)
 
 
 class Scheduler:
@@ -203,9 +209,7 @@ class SequentialScheduler(Scheduler):
     schedule = "sequential"
 
     def dispatch(self, plan, grid, block_indices, task) -> None:
-        observed = bool(observers())
-        for bidx in block_indices:
-            _run_block(plan, grid, bidx, task, observed)
+        _run_blocks(plan, grid, block_indices, task, bool(observers()))
 
 
 class PooledScheduler(Scheduler):
@@ -241,15 +245,13 @@ class PooledScheduler(Scheduler):
         else:
             chunks = chunk_indices(block_indices, self._workers)
         if len(chunks) <= 1:
-            for bidx in block_indices:
-                _run_block(plan, grid, bidx, task, observed)
+            _run_blocks(plan, grid, block_indices, task, observed)
             return
 
-        def run_chunk(chunk: Sequence[Vec]) -> None:
-            for bidx in chunk:
-                _run_block(plan, grid, bidx, task, observed)
-
-        futures = [self._pool.submit(run_chunk, c) for c in chunks]
+        futures = [
+            self._pool.submit(_run_blocks, plan, grid, c, task, observed)
+            for c in chunks
+        ]
         error = None
         for fut in futures:
             try:
@@ -384,8 +386,7 @@ class ProcessPoolScheduler(Scheduler):
         observed = bool(observers())
         bounds = plan.chunk_bounds_for(self._workers)
         if len(bounds) <= 1:
-            for bidx in block_indices:
-                _run_block(plan, grid, bidx, task, observed)
+            _run_blocks(plan, grid, block_indices, task, observed)
             return
 
         # Distributed tracing: when observed *and* the launching thread

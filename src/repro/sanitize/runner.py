@@ -150,9 +150,7 @@ def run_with_sanitizer(
                         continue  # already recorded as a finding
                     error = exc
                     break
-            advance_modeled_time(
-                task, device, plan.acc_type.kind, plan.work_div
-            )
+            advance_modeled_time(task, device, plan)
     finally:
         record.findings.extend(recorder.findings)
         record.findings.extend(monitor.divergence_findings(seed=seed))

@@ -89,6 +89,24 @@ class TestArithmetic:
         with pytest.raises(DimensionError):
             Vec(1, 2) + Vec(1, 2, 3)
 
+    def test_non_int_operand_rejected(self):
+        import numpy as np
+
+        for other in (1.5, np.int64(2), (1, 2), "x"):
+            with pytest.raises(DimensionError):
+                Vec(1, 2) * other
+
+    def test_results_are_plain_int_vecs(self):
+        r = Vec(7, -3) // Vec(2, 2)
+        assert r == Vec(3, -2)
+        assert all(type(c) is int for c in r)
+        assert hash(r) == hash(Vec(3, -2))
+
+    def test_zeros_shared_per_dim(self):
+        assert Vec.zeros(3) is Vec.zeros(3)
+        assert Vec.zeros(3) == Vec(0, 0, 0)
+        assert Vec.zeros(2) != Vec.zeros(3)
+
     def test_ceil_div(self):
         assert Vec(10, 16).ceil_div(Vec(3, 4)) == Vec(4, 4)
         assert Vec(12).ceil_div(4) == Vec(3)

@@ -53,6 +53,24 @@ class TestWorkDivMembers:
         assert wd.block_thread_count == 16
         assert wd.thread_elem_count == 4
         assert wd.grid_elem_extent == Vec(12, 64)
+        assert wd.grid_thread_extent == Vec(6, 32)
+        assert wd.block_elem_extent == Vec(4, 16)
+
+    def test_derived_extents_computed_once(self):
+        wd = WorkDivMembers.make((3, 4), (2, 8), (2, 2))
+        assert wd.grid_elem_extent is wd.grid_elem_extent
+        assert wd.block_elem_extent is wd.block_elem_extent
+
+    def test_pickle_ignores_cached_extents(self):
+        import pickle
+
+        wd = WorkDivMembers.make((3, 4), (2, 8), (2, 2))
+        cold = pickle.dumps(wd)
+        wd.grid_elem_extent, wd.block_count
+        assert pickle.dumps(wd) == cold
+        back = pickle.loads(cold)
+        assert back == wd and hash(back) == hash(wd)
+        assert back.grid_elem_extent == Vec(12, 64)
 
     def test_dim_mismatch_rejected(self):
         with pytest.raises(InvalidWorkDiv):

@@ -215,6 +215,39 @@ class TestStatsAndAsync:
         assert buf.as_numpy()[0] == 6.0
         buf.free()
 
+    def test_inline_submit_wait_false_is_complete_on_return(
+        self, dev, monkeypatch
+    ):
+        monkeypatch.setenv(REPLAY_ENV, "1")
+        g, buf = _chain(dev, n=3)
+        g.submit(wait=False)
+        assert buf.as_numpy()[0] == 3.0
+        g.submit()  # no wait() needed between inline submissions
+        assert g.wait(timeout=0.0)
+        assert buf.as_numpy()[0] == 6.0
+        buf.free()
+
+    def test_wait_during_inline_run_keeps_the_submit_guard(
+        self, dev, monkeypatch
+    ):
+        """A wait() that lands while an inline replay runs returns at
+        once, and must not let a second submit in mid-run."""
+        monkeypatch.setenv(REPLAY_ENV, "1")
+        g, buf = _chain(dev, n=2)
+        seen = []
+
+        def probe():
+            assert g.wait(timeout=0.0)
+            with pytest.raises(GraphError, match="mid-submit"):
+                g.submit()
+            seen.append(buf.as_numpy()[0])
+
+        g.call(probe, reads=[buf], label="probe")
+        g.submit()
+        g.submit()
+        assert seen == [2.0, 4.0]
+        buf.free()
+
     def test_copy_compute_copy_roundtrip(self, dev):
         """A mixed-kind graph: host->dev copy, kernel, memset of a
         second buffer, dev->host copy — all edges inferred."""

@@ -72,6 +72,49 @@ class TestGuardedArray:
         with pytest.raises(ExtentError):
             _ = half[-1]
 
+    def test_sub_views_of_sub_views_stay_guarded(self):
+        g = guard(np.arange(16.0).reshape(4, 4))
+        row = g[1]
+        block = g[1:3, ::2]
+        assert isinstance(row, GuardedArray)
+        assert isinstance(block, GuardedArray)
+        for view in (row, block[0]):
+            with pytest.raises(ExtentError):
+                _ = view[-1]
+
+    def test_vec_key_with_negative_component_rejected(self):
+        from repro import Vec
+
+        g = guard(np.arange(16.0).reshape(4, 4))
+        with pytest.raises(ExtentError, match="-1"):
+            _ = g[Vec(1, -1)]
+        with pytest.raises(ExtentError):
+            g[Vec(-2)] = 0.0
+        # A non-negative Vec indexes exactly as on a plain ndarray.
+        np.testing.assert_array_equal(
+            g[Vec(1, 3)], np.arange(16.0).reshape(4, 4)[[1, 3]]
+        )
+
+    def test_negative_int_beside_slice_rejected(self):
+        g = guard(np.zeros((4, 4)))
+        with pytest.raises(ExtentError):
+            _ = g[slice(0, 2), -1]
+        with pytest.raises(ExtentError):
+            _ = g[1, np.int64(-1)]
+        with pytest.raises(ExtentError):
+            g[-1, 0:2] = 1.0
+
+    def test_repr_and_str_print_the_values(self):
+        g = guard(np.arange(10.0))
+        assert repr(g) == repr(np.arange(10.0))
+        assert str(g) == str(np.arange(10.0))
+        g2 = guard(np.arange(6.0).reshape(2, 3))
+        assert str(g2) == str(np.arange(6.0).reshape(2, 3))
+        assert f"{g2[1]}" == str(np.array([3.0, 4.0, 5.0]))
+        # Printing must not disarm the guard.
+        with pytest.raises(ExtentError):
+            _ = g[-1]
+
     def test_oob_still_raises_index_error(self, karr):
         with pytest.raises(IndexError):
             _ = karr[99]

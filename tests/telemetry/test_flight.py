@@ -116,6 +116,25 @@ def test_kernel_crash_dumps_flight_file(rec, tmp_path):
     assert "kernel_crash" in kinds
 
 
+def test_graph_node_crash_dumps_flight_file(tmp_path, monkeypatch):
+    from repro import Graph
+
+    monkeypatch.setenv(FLIGHT_ENV, str(tmp_path))
+    assert flight.maybe_activate_from_env() is not None
+    dev = get_dev_by_idx(AccCpuSerial, 0)
+    out = mem.alloc(dev, 8)
+    g = Graph()
+    g.launch(AccCpuSerial, WorkDivMembers.make(1, 1, 8), _crashing, 8, out)
+    with pytest.raises(Exception):
+        g.submit()
+    dumps = [p for p in os.listdir(tmp_path) if p.startswith("flight-")]
+    assert dumps, "graph node crash produced no flight dump"
+    with open(tmp_path / dumps[0]) as fh:
+        payload = json.load(fh)
+    assert payload["reason"] == "kernel_crash"
+    assert "kernel_crash" in [e["kind"] for e in payload["events"]]
+
+
 def test_launches_recorded_while_active(rec):
     dev = get_dev_by_idx(AccCpuSerial, 0)
     queue = QueueBlocking(dev)
