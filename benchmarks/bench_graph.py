@@ -1,10 +1,10 @@
 """Extension: whole-graph warm replay vs. per-launch dispatch.
 
-ROADMAP item 3's acceptance bench.  A dataflow graph snapshots every
-node's resolved ``LaunchPlan``, grid context and scheduler in one
-:class:`repro.runtime.plan.GraphPlan`, so a warm resubmission pays a
-single graph-cache hit for the whole pipeline instead of a plan lookup,
-grid construction and queue round-trip per node.  The bound asserted
+ROADMAP item 3's acceptance bench.  A dataflow graph resolves every
+node's ``LaunchPlan``, grid context and scheduler into replay ops it
+keeps, so a warm resubmission pays one context check for the whole
+pipeline instead of a plan lookup, grid construction and queue
+round-trip per node.  The bound asserted
 here: a warm replay of a PIPELINE_NODES-deep kernel chain costs **less
 than 3x one warm single launch** — i.e. per-node replay overhead is a
 small fraction of even the cached launch path.
@@ -90,7 +90,7 @@ def _graph_warm_cost(acc_name: str, nodes: int) -> float:
 
 def test_graph_warm_replay_bound(benchmark):
     """Warm whole-graph replay of a >=6-node pipeline beats 3x a single
-    warm launch, and is served by the graph plan cache."""
+    warm launch, and replays the graph's own ops."""
     clear_plan_cache()
     before = graph_plan_cache_info()
 
@@ -133,8 +133,8 @@ def test_graph_warm_replay_bound(benchmark):
     # The acceptance bound: the whole warm pipeline for the price of
     # (less than) three warm launches.
     assert costs["graph"] < 3 * costs["single"], costs
-    # And it really was the graph cache serving it: one miss (the cold
-    # submit), then hits.
+    # And it really replayed the graph's ops: one miss (the cold submit,
+    # which built them), then hits.
     assert after["misses"] >= before["misses"] + 1
     assert after["hits"] > before["hits"]
 

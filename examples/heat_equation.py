@@ -6,8 +6,8 @@ through two device buffers, and the dataflow-graph API: the whole
 *recorded* once into a :class:`repro.graph.Graph` and submitted as a
 unit.  Dependencies between the sweeps come from buffer-argument
 inference — no queue or event plumbing — and a second submission
-replays the cached whole-graph plan (one plan-cache hit for the entire
-pipeline).  A hot spot diffuses across a cold plate; the script reports
+replays the node ops the first one resolved (no plan lookup for the
+entire pipeline).  A hot spot diffuses across a cold plate; the script reports
 the temperature profile and verifies against a pure-numpy reference.
 
 Run:  python examples/heat_equation.py [backend-name] [steps]
@@ -71,8 +71,8 @@ def simulate(acc_name: str, h: int = 96, w: int = 128, steps: int = 50) -> None:
     err = np.abs(result - reference).max()
     assert err < 1e-9, err
 
-    # Submit again: same structure, so the executor replays the cached
-    # GraphPlan — and the result is bit-identical.
+    # Submit again: the graph replays the node ops its first submission
+    # resolved — and the result is bit-identical.
     again = g.submit()
     err2 = np.abs(result - reference).max()
     assert err2 <= err and again.last_stats.replayed

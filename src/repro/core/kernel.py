@@ -90,6 +90,14 @@ class KernelTask:
     #: the kernel with ``acc.shared_mem_dyn(dtype)``.
     shared_mem_bytes: int = 0
 
+    #: ``(plan, device-side args)`` and ``(plan, ProcessLaunchState)``
+    #: memos of the last launch, set by
+    #: :meth:`repro.runtime.plan.LaunchPlan.unwrap_args` and
+    #: :func:`repro.runtime.procpool.process_launch_state`; they live and
+    #: die with the task.  Not dataclass fields: no part of equality.
+    _unwrapped = None
+    _proc_state = None
+
     def __post_init__(self):
         if self.shared_mem_bytes < 0:
             raise KernelError("shared_mem_bytes must be non-negative")

@@ -16,14 +16,15 @@ Dependencies are inferred from buffer arguments (reader-after-writer,
 writer-after-any, region-precise through sub-views — see
 :mod:`repro.graph.infer`) and merged with explicit ``.after()`` edges.
 Submission schedules across one queue per device, overlapping copies
-with compute and sharding independent branches; single-device graphs
-replay through the whole-graph plan cache
-(:class:`repro.runtime.plan.GraphPlan`) at roughly the cost of a single
-warm launch (``benchmarks/bench_graph.py`` asserts the bound).
+with compute and sharding independent branches.  A single-device graph
+(sanitizer off) runs inline instead: its first submission resolves each
+node into a replay op kept on the graph, and warm resubmissions replay
+those ops at roughly the cost of a few warm launches
+(``benchmarks/bench_graph.py`` asserts the bound).
 """
 
 from ..core.errors import GraphError
-from .executor import REPLAY_ENV, GraphExec, GraphRunStats
+from .executor import GraphExec, GraphRunStats
 from .graph import Graph
 from .infer import Access, access_of, classify_args, infer_edges
 from .node import Node
@@ -38,5 +39,4 @@ __all__ = [
     "access_of",
     "classify_args",
     "infer_edges",
-    "REPLAY_ENV",
 ]

@@ -2,16 +2,17 @@
 
 Two execution modes, chosen per submission:
 
-* **inline replay** — every node lives on one device, the sanitizer is
-  off and ``REPRO_GRAPH_REPLAY`` is not ``0``: nodes run in topological
-  order in the calling thread, kernel nodes through
-  :func:`repro.runtime.execute_plan` with the grid context and scheduler
-  snapshotted in the shared :class:`~repro.runtime.plan.GraphPlan`.  A
-  warm resubmission therefore pays one graph-cache hit for the whole
-  pipeline instead of one plan lookup + grid construction per node — the
-  mechanism behind the bench_graph.py replay bound.
+* **inline replay** — every node lives on one device and the sanitizer
+  is off: nodes run in creation order in the calling thread.  The first
+  such submission resolves each node once into a replay op — for a
+  kernel node, :func:`repro.runtime.execute_plan` bound to the node's
+  :class:`~repro.runtime.plan.LaunchPlan`, grid context and scheduler —
+  and the :class:`GraphExec` keeps those ops.  A warm resubmission
+  checks one context tuple and replays them, instead of one plan lookup
+  and grid construction per node: the mechanism behind the
+  bench_graph.py replay bound.  The ops die with the graph.
 * **queued** — nodes span devices (or the sanitizer is active): one
-  non-blocking queue per device, nodes enqueued in topological order,
+  non-blocking queue per device, nodes enqueued in creation order,
   cross-queue edges realised as ``Event.record`` on the producer queue
   plus ``enqueue_after`` on the consumer queue.  Kernel tasks go through
   the queues' normal ``task.execute`` path, i.e. through
@@ -27,7 +28,6 @@ impossible by construction.
 from __future__ import annotations
 
 import itertools
-import os
 import threading
 import time
 from dataclasses import dataclass
@@ -35,20 +35,15 @@ from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 from ..core.errors import GraphError
-from ..mem.buf import Buffer
-from ..mem.view import ViewSubView
+from ..acc.base import GridContext
+from ..runtime import execute_plan
 from ..runtime.instrument import notify_graph_end, observers
-from ..runtime.plan import get_graph_plan
-from ..runtime.scheduler import resolve_scheduler_override
+from ..runtime.plan import count_graph_submit, get_plan, plan_epoch
+from ..runtime.scheduler import resolve_scheduler_override, scheduler_for
 from ..sanitize import _state as _sanitize_state
 from ..tuning.cache import tuning_generation
 
-__all__ = ["GraphExec", "GraphRunStats", "REPLAY_ENV"]
-
-#: Set to ``0`` to force the queued path even for single-device graphs
-#: (A/B-testing the replay fast path, or debugging with full queue
-#: semantics).
-REPLAY_ENV = "REPRO_GRAPH_REPLAY"
+__all__ = ["GraphExec", "GraphRunStats"]
 
 _graph_ids = itertools.count(1)
 
@@ -74,7 +69,8 @@ class GraphRunStats:
     #: Longest dependency-chain duration — the theoretical floor for
     #: ``wall_seconds`` under perfect overlap.
     critical_path_seconds: float
-    #: Whether this submission replayed a cached :class:`GraphPlan`.
+    #: Whether this inline submission replayed the node ops an earlier
+    #: submission of the same graph built (always False when queued).
     replayed: bool
     #: Raw per-node tuples ``(index, label, kind, device_name, start,
     #: duration)``; use :attr:`nodes` for the dict view.
@@ -114,7 +110,7 @@ class GraphRunStats:
 
 
 class GraphExec:
-    """A compiled graph: resolved edges + the shared :class:`GraphPlan`.
+    """A compiled graph: resolved edges plus its inline replay ops.
 
     Built by :meth:`Graph.submit` (and cached on the graph instance);
     one ``GraphExec`` survives any number of ``run()`` calls while the
@@ -129,11 +125,14 @@ class GraphExec:
         self.graph_id = next(_graph_ids)
         # Every edge points backward (see module docstring), so the
         # recording order is already topological.
-        self.order = tuple(range(self.node_count))
         for i, d in enumerate(deps):
             if any(j >= i for j in d):
                 raise GraphError(f"forward edge {d} on node #{i}")
-        self.plan = None  # GraphPlan, bound at first run
+        #: ``(context, ops)`` of the last inline submission: one
+        #: zero-argument op per node, valid while the context — tuning
+        #: generation, scheduler override, plan-cache epoch — is the one
+        #: the node plans were resolved under.
+        self._ops: Optional[tuple] = None
         #: (mode, wall, replayed, node durations) of the last completed
         #: submission; :attr:`last_stats` turns it into stats on read.
         self._run_record: Optional[tuple] = None
@@ -149,91 +148,19 @@ class GraphExec:
         for n in self.nodes:
             seen.setdefault(n.device.uid, n.device)
         self.devices = tuple(seen.values())
-        # (tuning generation, scheduler override) -> structure key; the
-        # node signatures only change with those, so warm submissions
-        # skip rebuilding the key.
-        self._key_ctx: Optional[tuple] = None
-        self._key: Optional[tuple] = None
 
     def still_valid(self) -> bool:
         return len(self.graph.nodes) == self.node_count
 
-    # -- structural identity ---------------------------------------------
-
-    @staticmethod
-    def _arg_sig(a) -> tuple:
-        if isinstance(a, Buffer):
-            return ("b", a.buf_id)
-        if isinstance(a, ViewSubView):
-            return ("v", a.buf_id, a.access_box())
-        try:
-            hash(a)
-        except TypeError:
-            return ("u", id(a))
-        return ("s", a)
-
-    def _node_sig(self, node) -> tuple:
-        t = node.task
-        if node.kind == "kernel":
-            return (
-                "k",
-                t.acc_type,
-                id(t.kernel),
-                t.work_div,
-                t.shared_mem_bytes,
-                tuple(self._arg_sig(a) for a in t.args),
-            )
-        if node.kind == "copy":
-            return ("c", self._arg_sig(t.dst), self._arg_sig(t.src),
-                    tuple(t.extent))
-        if node.kind == "memset":
-            return ("m", self._arg_sig(t.dst), t.value, tuple(t.extent))
-        return ("f", id(t))
-
-    def structure_key(self) -> tuple:
-        """The graph-cache key: node signatures + edges + devices, plus
-        the same volatile context the per-launch key folds in (tuning
-        generation, scheduler override) so a tuning run or an env flip
-        misses instead of replaying a stale snapshot."""
-        ctx = (tuning_generation(), resolve_scheduler_override())
-        if ctx != self._key_ctx:
-            self._key = (
-                tuple(self._node_sig(n) for n in self.nodes),
-                tuple(n.device.uid for n in self.nodes),
-                self.deps,
-            ) + ctx
-            self._key_ctx = ctx
-        return self._key
-
-    def _build_plan(self, key):
-        from ..runtime.plan import GraphPlan
-
-        return GraphPlan(
-            key=key,
-            order=self.order,
-            deps=self.deps,
-            device_uids=tuple(n.device.uid for n in self.nodes),
-        )
-
     # -- execution --------------------------------------------------------
 
     def run(self, wait: bool = True) -> "GraphExec":
-        key = self.structure_key()
-        self.plan = get_graph_plan(key, lambda: self._build_plan(key))
-        replayed = self.plan.served_from_cache and bool(self.plan.replays)
-
         self.failed = False
         self.error = None
-        inline_ok = (
-            len(self.devices) == 1
-            and not _sanitize_state.active()
-            and os.environ.get(REPLAY_ENV, "1") != "0"
-        )
-        if inline_ok:
-            self._run_inline(replayed)
+        if len(self.devices) == 1 and not _sanitize_state.active():
+            self._run_inline()
         else:
-            self._run_queued(wait=wait, replayed=replayed)
-        self.plan.replays += 1
+            self._run_queued(wait=wait)
         return self
 
     def _finish(self, mode: str, wall: float, replayed: bool) -> None:
@@ -268,8 +195,7 @@ class GraphExec:
         durs = [d or 0.0 for d in durations]
         deps = self.deps
         cp: List[float] = [0.0] * self.node_count
-        for i in self.order:
-            d = deps[i]
+        for i, d in enumerate(deps):
             cp[i] = durs[i] + (max(cp[j] for j in d) if d else 0.0)
         if obs:
             t0 = self._t0
@@ -302,52 +228,46 @@ class GraphExec:
 
     # -- inline replay path ----------------------------------------------
 
-    def _build_op(self, node, plan, i):
-        """Resolve node ``i`` once and return a zero-argument replay
-        closure: :func:`repro.runtime.execute_plan` with the plan, grid
+    @staticmethod
+    def _build_op(node):
+        """Resolve ``node`` once into a zero-argument replay op: for a
+        kernel, :func:`repro.runtime.execute_plan` with the plan, grid
         context and scheduler resolved here instead of per replay."""
+        task, device = node.task, node.device
         if node.kind == "kernel":
-            from ..acc.base import GridContext
-            from ..runtime import execute_plan
-            from ..runtime.plan import get_plan
-            from ..runtime.scheduler import scheduler_for
-
-            task, device = node.task, node.device
-            lp = plan.node_plans.get(i)
-            if lp is None:
-                lp = get_plan(task, device)
-                plan.node_plans[i] = lp
-                grid = GridContext(
-                    device,
-                    lp.work_div,
-                    lp.props,
-                    lp.unwrap_args(task.args),
-                    shared_mem_bytes=lp.shared_mem_bytes,
-                )
-                sched = scheduler_for(device, lp.schedule)
-                plan.node_grids[i] = (grid, sched)
-            else:
-                grid, sched = plan.node_grids[i]
+            lp = get_plan(task, device)
+            grid = GridContext(
+                device,
+                lp.work_div,
+                lp.props,
+                lp.unwrap_args(task),
+                shared_mem_bytes=lp.shared_mem_bytes,
+            )
+            sched = scheduler_for(device, lp.schedule)
             return partial(execute_plan, lp, task, device, grid, sched)
         if node.kind == "call":
-            return node.task
-        task, device = node.task, node.device
-        return lambda: task.execute(device)  # copy / memset
+            return task
+        return partial(task.execute, device)  # copy / memset
 
-    def _run_inline(self, replayed: bool) -> None:
+    def _run_inline(self) -> None:
         # Synchronous: the submission is complete when this returns, so
         # _done (cleared only while a queued run is in flight) stays set.
-        plan = self.plan
         perf = time.perf_counter
-        nodes = self.nodes
-        ops = plan.node_ops
         t0 = t = self._t0 = perf()
+        replayed = False
         try:
-            for i in self.order:
-                node = nodes[i]
-                op = ops.get(i)
-                if op is None:
-                    op = ops[i] = self._build_op(node, plan, i)
+            ctx = (tuning_generation(), resolve_scheduler_override(),
+                   plan_epoch())
+            cached = self._ops
+            if cached is not None and cached[0] == ctx:
+                ops = cached[1]
+                replayed = True
+            else:
+                ops = tuple(self._build_op(n) for n in self.nodes)
+                self._ops = (ctx, ops)
+                t = perf()  # wall time includes the build, node 0 not
+            count_graph_submit(replayed)
+            for node, op in zip(self.nodes, ops):
                 node.started_at = t
                 op()
                 # One clock read per node: its end is the next start.
@@ -368,7 +288,7 @@ class GraphExec:
 
     # -- queued (multi-device / sanitized) path ---------------------------
 
-    def _run_queued(self, wait: bool, replayed: bool) -> None:
+    def _run_queued(self, wait: bool) -> None:
         from ..queue.event import Event
         from ..queue.queue import QueueNonBlocking
 
@@ -389,8 +309,8 @@ class GraphExec:
         # Nodes whose completion a *different* queue must observe get an
         # Event recorded right after them on their producer queue.
         cross = set()
-        for i in self.order:
-            qi = queue_of[self.nodes[i].device.uid]
+        for i, node in enumerate(self.nodes):
+            qi = queue_of[node.device.uid]
             for j in self.deps[i]:
                 if queue_of[self.nodes[j].device.uid] is not qi:
                     cross.add(j)
@@ -443,10 +363,9 @@ class GraphExec:
                 pending["n"] -= 1
                 last = pending["n"] == 0
             if last:
-                self._finish("queued", perf() - self._t0, replayed)
+                self._finish("queued", perf() - self._t0, False)
 
-        for i in self.order:
-            node = self.nodes[i]
+        for i, node in enumerate(self.nodes):
             q = queue_of[node.device.uid]
             for j in sorted(self.deps[i]):
                 if queue_of[self.nodes[j].device.uid] is not q:

@@ -17,10 +17,10 @@ Dependencies come from three sources, merged per node:
   concurrently, that is the point.
 
 ``submit()`` compiles the node list into a
-:class:`~repro.graph.executor.GraphExec` (cached on the graph instance
-and, via :func:`repro.runtime.plan.get_graph_plan`, across structurally
-identical graphs) and executes it; a warm resubmission replays every
-node's cached :class:`~repro.runtime.plan.LaunchPlan` and grid context
+:class:`~repro.graph.executor.GraphExec`, cached on the graph instance,
+and executes it; a warm single-device resubmission replays the node ops
+the executor resolved (each kernel node's
+:class:`~repro.runtime.plan.LaunchPlan`, grid context and scheduler)
 without touching the per-launch plan cache at all.
 """
 

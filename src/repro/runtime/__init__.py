@@ -39,14 +39,10 @@ from .instrument import (
     unregister_observer,
 )
 from .plan import (
-    GRAPH_PLAN_CACHE_MAXSIZE,
     PLAN_CACHE_MAXSIZE,
-    GraphPlan,
     LaunchPlan,
     build_plan,
-    clear_graph_plan_cache,
     clear_plan_cache,
-    get_graph_plan,
     get_plan,
     graph_plan_cache_info,
     plan_cache_info,
@@ -80,12 +76,7 @@ __all__ = [
     "clear_plan_cache",
     "plan_cache_info",
     "PLAN_CACHE_MAXSIZE",
-    # graph plan
-    "GraphPlan",
-    "get_graph_plan",
-    "clear_graph_plan_cache",
     "graph_plan_cache_info",
-    "GRAPH_PLAN_CACHE_MAXSIZE",
     # scheduler
     "Scheduler",
     "SequentialScheduler",
@@ -170,7 +161,7 @@ def execute_plan(plan, task, device, grid=None, scheduler=None) -> "LaunchPlan":
             device,
             plan.work_div,
             plan.props,
-            plan.unwrap_args(task.args),
+            plan.unwrap_args(task),
             shared_mem_bytes=plan.shared_mem_bytes,
         )
     device.note_kernel_launch()

@@ -20,7 +20,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Tuple
 
 from ..core.errors import SharedMemError
 from ..core.properties import AccDevProps
@@ -36,19 +36,13 @@ __all__ = [
     "clear_plan_cache",
     "plan_cache_info",
     "PLAN_CACHE_MAXSIZE",
-    "GraphPlan",
-    "get_graph_plan",
-    "clear_graph_plan_cache",
+    "plan_epoch",
+    "count_graph_submit",
     "graph_plan_cache_info",
-    "GRAPH_PLAN_CACHE_MAXSIZE",
 ]
 
 #: Upper bound on cached plans; least-recently-used entries evict first.
 PLAN_CACHE_MAXSIZE = 512
-
-#: Upper bound on cached whole-graph plans (each holds its nodes'
-#: :class:`LaunchPlan` and grid contexts).
-GRAPH_PLAN_CACHE_MAXSIZE = 64
 
 
 def _thread_runners() -> Dict[str, Callable]:
@@ -73,8 +67,8 @@ class LaunchPlan:
 
     Built once per ``(back-end, kernel, work-div, device, shared-mem)``
     configuration and reused; holds no per-launch state except counters
-    and memos of launch-invariant results (chunking, unwrapped
-    arguments, compiled replays, modeled seconds).
+    and memos of launch-invariant results (chunking, compiled replays,
+    modeled seconds).
     """
 
     acc_type: type
@@ -94,8 +88,6 @@ class LaunchPlan:
     launches: int = 0
     #: Whether this plan instance was served from the cache at least once.
     served_from_cache: bool = False
-    _args_src: Optional[tuple] = field(default=None, repr=False)
-    _args_unwrapped: Optional[tuple] = field(default=None, repr=False)
     #: worker count -> chunked block_indices; see :meth:`chunks_for`.
     _chunks: Dict[int, list] = field(default_factory=dict, repr=False)
     #: worker count -> linear (start, stop) bounds per chunk.
@@ -142,20 +134,22 @@ class LaunchPlan:
             self._chunk_bounds[workers] = bounds
         return bounds
 
-    def unwrap_args(self, args: tuple) -> tuple:
-        """Device-side argument tuple for ``args``.
+    def unwrap_args(self, task) -> tuple:
+        """Device-side argument tuple for ``task.args``.
 
-        Memoised on the identity of the host-side tuple: re-enqueueing
-        the same (frozen) :class:`~repro.core.kernel.KernelTask` reuses
-        the unwrapped arguments and their residency checks.
+        Memoised on the task, not the plan: re-enqueueing the same
+        (frozen) :class:`~repro.core.kernel.KernelTask` reuses the
+        unwrapped arguments and their residency checks, and the memo dies
+        with the task instead of pinning its buffers for as long as the
+        plan sits in the LRU.
         """
-        if args is self._args_src:
-            return self._args_unwrapped  # type: ignore[return-value]
+        memo = task._unwrapped
+        if memo is not None and memo[0] is self:
+            return memo[1]
         from ..acc.engine import unwrap_args
 
-        unwrapped = unwrap_args(args, self.device)
-        self._args_src = args
-        self._args_unwrapped = unwrapped
+        unwrapped = unwrap_args(task.args, self.device)
+        object.__setattr__(task, "_unwrapped", (self, unwrapped))
         return unwrapped
 
     def describe(self) -> str:
@@ -253,113 +247,6 @@ def _build_plan(task, device) -> LaunchPlan:
 
 
 # ---------------------------------------------------------------------------
-# Whole-graph plans
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class GraphPlan:
-    """Everything about one dataflow graph that survives re-submission.
-
-    Built once per graph *structure* — the node identity tuple the graph
-    layer derives from kernels, work divisions, buffer ids and edges —
-    and cached LRU under that key, a :class:`GraphPlan` snapshots every
-    node's resolved :class:`LaunchPlan`, its grid context (validated,
-    unwrapped arguments included), its scheduler, the resolved
-    dependency edges and the topological order.  A warm pipeline
-    therefore re-dispatches with **one** cache hit instead of one plan
-    resolution per node (ROADMAP item 3: a graph warm-launches as
-    cheaply as one kernel).
-    """
-
-    key: tuple
-    #: Node indices in one valid topological execution order.
-    order: Tuple[int, ...]
-    #: Per-node resolved dependency indices (explicit + inferred).
-    deps: Tuple[Tuple[int, ...], ...]
-    #: node index -> resolved LaunchPlan (kernel nodes only).
-    node_plans: Dict[int, LaunchPlan] = field(default_factory=dict)
-    #: node index -> cached (GridContext, scheduler) (kernel nodes only).
-    node_grids: Dict[int, object] = field(default_factory=dict)
-    #: node index -> zero-argument replay closure (the inline fast
-    #: path: dispatch + accounting with plan, grid and scheduler bound).
-    node_ops: Dict[int, object] = field(default_factory=dict)
-    #: node index -> device uid the node executes on.
-    device_uids: Tuple[int, ...] = ()
-    #: How many times this plan has been re-dispatched warm.
-    replays: int = 0
-    #: Whether this graph plan instance was served from the cache.
-    served_from_cache: bool = False
-
-    @property
-    def node_count(self) -> int:
-        return len(self.order)
-
-    def describe(self) -> str:
-        return (
-            f"GraphPlan({self.node_count} nodes, "
-            f"{sum(len(d) for d in self.deps)} edges, "
-            f"replays={self.replays})"
-        )
-
-
-_graph_cache: "OrderedDict[tuple, GraphPlan]" = OrderedDict()
-_graph_lock = threading.Lock()
-_graph_hits = 0
-_graph_misses = 0
-
-
-def get_graph_plan(key: tuple, build: Callable[[], GraphPlan]) -> GraphPlan:
-    """The cached-or-built :class:`GraphPlan` for ``key``.
-
-    ``build`` runs outside the cache lock on a miss (it resolves one
-    :class:`LaunchPlan` per kernel node, which may itself take the plan
-    cache lock).  Announced through ``on_plan_cache`` observers like
-    per-launch plans, so the telemetry hit-rate counters cover graphs.
-    """
-    global _graph_hits, _graph_misses
-    with _graph_lock:
-        plan = _graph_cache.get(key)
-        if plan is not None:
-            _graph_cache.move_to_end(key)
-            _graph_hits += 1
-            plan.served_from_cache = True
-    if plan is not None:
-        notify_plan_cache(plan, True)
-        return plan
-    plan = build()
-    plan.key = key
-    with _graph_lock:
-        _graph_misses += 1
-        _graph_cache[key] = plan
-        _graph_cache.move_to_end(key)
-        while len(_graph_cache) > GRAPH_PLAN_CACHE_MAXSIZE:
-            _graph_cache.popitem(last=False)
-    notify_plan_cache(plan, False)
-    return plan
-
-
-def clear_graph_plan_cache() -> None:
-    """Drop every cached graph plan and zero its hit/miss counters."""
-    global _graph_hits, _graph_misses
-    with _graph_lock:
-        _graph_cache.clear()
-        _graph_hits = 0
-        _graph_misses = 0
-
-
-def graph_plan_cache_info() -> Dict[str, int]:
-    """``{"hits": ..., "misses": ..., "size": ..., "maxsize": ...}``."""
-    with _graph_lock:
-        return {
-            "hits": _graph_hits,
-            "misses": _graph_misses,
-            "size": len(_graph_cache),
-            "maxsize": GRAPH_PLAN_CACHE_MAXSIZE,
-        }
-
-
-# ---------------------------------------------------------------------------
 # LRU plan cache
 # ---------------------------------------------------------------------------
 
@@ -367,6 +254,9 @@ _cache: "OrderedDict[tuple, LaunchPlan]" = OrderedDict()
 _cache_lock = threading.Lock()
 _hits = 0
 _misses = 0
+_graph_hits = 0
+_graph_misses = 0
+_epoch = 0
 
 
 def _key(task, device) -> tuple:
@@ -425,16 +315,22 @@ def get_plan(task, device) -> LaunchPlan:
 
 
 def clear_plan_cache() -> None:
-    """Drop every cached plan and zero the hit/miss counters.
+    """Drop every cached plan, zero the hit/miss counters (graph
+    submissions' too) and bump :func:`plan_epoch`.
 
-    Graph plans embed per-node launch plans, so they are dropped too —
-    a stale graph must never outlive the plans it snapshot."""
-    global _hits, _misses
+    Graphs keep their nodes' launch plans in their replay ops; the epoch
+    bump makes each rebuild them on its next submission, so a graph never
+    outlives the plans it snapshot."""
+    global _hits, _misses, _graph_hits, _graph_misses, _epoch
     with _cache_lock:
         _cache.clear()
-        _hits = 0
-        _misses = 0
-    clear_graph_plan_cache()
+        _hits = _misses = _graph_hits = _graph_misses = 0
+        _epoch += 1
+
+
+def plan_epoch() -> int:
+    """How many times :func:`clear_plan_cache` has run in this process."""
+    return _epoch
 
 
 def plan_cache_info() -> Dict[str, int]:
@@ -446,3 +342,21 @@ def plan_cache_info() -> Dict[str, int]:
             "size": len(_cache),
             "maxsize": PLAN_CACHE_MAXSIZE,
         }
+
+
+def count_graph_submit(reused: bool) -> None:
+    """Count one inline graph submission: ``reused`` when it replayed the
+    node ops an earlier submission built, a miss when it built them."""
+    global _graph_hits, _graph_misses
+    with _cache_lock:
+        if reused:
+            _graph_hits += 1
+        else:
+            _graph_misses += 1
+
+
+def graph_plan_cache_info() -> Dict[str, int]:
+    """``{"hits": ..., "misses": ...}`` of inline graph submissions (see
+    :func:`count_graph_submit`)."""
+    with _cache_lock:
+        return {"hits": _graph_hits, "misses": _graph_misses}

@@ -159,14 +159,15 @@ def marshal_launch(plan, task) -> ProcessLaunchState:
 
 
 def process_launch_state(plan, task) -> ProcessLaunchState:
-    """``marshal_launch`` memoised on the plan per args-tuple identity —
-    re-enqueueing the same frozen task re-uses the marshalled payload,
-    so warm launches pay zero classification or pickling cost."""
-    cached = getattr(plan, "_proc_state", None)
-    if cached is not None and cached[0] is task.args:
+    """``marshal_launch`` memoised on the task per plan — re-enqueueing
+    the same frozen task re-uses the marshalled payload, so warm launches
+    pay zero classification or pickling cost, and the memo dies with the
+    task instead of pinning its buffers on the cached plan."""
+    cached = task._proc_state
+    if cached is not None and cached[0] is plan:
         return cached[1]
     state = marshal_launch(plan, task)
-    plan._proc_state = (task.args, state)
+    object.__setattr__(task, "_proc_state", (plan, state))
     return state
 
 

@@ -402,9 +402,10 @@ class HeatEquationWorkload(Workload):
 
     Params: ``steps`` (default 10), ``c`` (default 0.2); arrays:
     ``plate`` (2-d).  Records staging copy, double-buffered sweeps and
-    the gather copy into a :class:`repro.graph.Graph` and submits it —
-    dependency inference, overlap and whole-graph replay caching all
-    come from the graph layer for free.
+    the gather copy into a fresh :class:`repro.graph.Graph` per request
+    and submits it once — dependency inference comes from the graph
+    layer; the sweeps share one launch plan through the plan cache, and
+    the graph's replay ops die with it.
     """
 
     name = "heat_equation"

@@ -153,6 +153,34 @@ class TestModeledTimeMemo:
         assert all(r() is None for r in refs)
         assert len(plan._modeled) == 1
 
+    def test_unwrap_memo_keeps_no_buffer_alive(self):
+        dev = get_dev_by_idx(AccCpuSerial, 0)
+        task = _axpy_task(dev, AxpyElementsKernel(), 64)
+        queue = QueueBlocking(dev)
+        queue.enqueue(task)
+        queue.enqueue(task)
+        bufs = [a for a in task.args if isinstance(a, mem.Buffer)]
+        refs = [weakref.ref(b) for b in bufs]
+        refs += [weakref.ref(b.unsafe_backing()) for b in bufs]
+        assert len(refs) == 4
+        del task, bufs
+        gc.collect()
+        assert [r() is None for r in refs] == [True] * 4
+
+    def test_unwrap_memo_warm_hit_is_identity(self):
+        dev = get_dev_by_idx(AccCpuSerial, 0)
+        kernel = AxpyElementsKernel()
+        task = _axpy_task(dev, kernel, 64)
+        twin = _axpy_task(dev, kernel, 64)
+        plan = get_plan(task, dev)
+        assert get_plan(twin, dev) is plan
+        first = plan.unwrap_args(task)
+        assert plan.unwrap_args(task) is first
+        assert plan.unwrap_args(twin) is not first
+        # Each task keeps its own memo: interleaving two tasks on one
+        # plan does not evict it.
+        assert plan.unwrap_args(task) is first
+
     def test_memo_is_bounded_and_exact(self):
         dev = get_dev_by_idx(AccCpuSerial, 0)
         queue = QueueBlocking(dev)

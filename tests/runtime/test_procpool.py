@@ -1,9 +1,11 @@
 """Process-pool block dispatch: classification, workers, fallback."""
 
+import gc
 import multiprocessing as mp
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -139,6 +141,16 @@ class TestClassification:
         assert s1 is s2
         x.free()
         y.free()
+
+    def test_state_memo_keeps_no_buffer_alive(self, dev):
+        task, x, y = _axpy_task(dev)
+        assert process_launch_state(get_plan(task, dev), task).eligible
+        refs = [weakref.ref(x), weakref.ref(y)]
+        x.free()
+        y.free()
+        del task, x, y
+        gc.collect()
+        assert [r() is None for r in refs] == [True, True]
 
 
 class TestProcessSharedAtomicDomain:
@@ -302,7 +314,7 @@ class TestDispatch:
         from repro.acc.base import GridContext
 
         grid = GridContext(
-            dev, plan.work_div, plan.props, plan.unwrap_args(task.args)
+            dev, plan.work_div, plan.props, plan.unwrap_args(task)
         )
         subset = plan.block_indices[:2]
         sched.dispatch(plan, grid, subset, task)  # must not hang or raise
